@@ -714,91 +714,78 @@ fn e21_snapshot(quick: bool) {
     // wall clocks, every response (in schedule order per stream), the
     // record count the server's store held at shutdown, how many runs
     // the client store recovered, how many runs replayed without wire
-    // traffic, and the warm server's (bounds, sing) cache misses.
+    // traffic, and the server's verdict-cache misses.
     #[allow(clippy::type_complexity)]
-    let lifetime =
-        |dir: &std::path::Path| -> (f64, f64, Vec<Response>, u64, usize, usize, (u64, u64)) {
-            let start = Instant::now();
-            let server = serve(
-                "127.0.0.1:0",
-                ServerConfig {
-                    workers: 4,
-                    store_dir: Some(dir.join("server")),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind e21 server");
-            let boot_s = start.elapsed().as_secs_f64();
-            let addr = server.addr().to_string();
+    let lifetime = |dir: &std::path::Path| -> (f64, f64, Vec<Response>, u64, usize, usize, u64) {
+        let start = Instant::now();
+        let server = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 4,
+                store_dir: Some(dir.join("server")),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind e21 server");
+        let boot_s = start.elapsed().as_secs_f64();
+        let addr = server.addr().to_string();
 
-            let start = Instant::now();
-            let (mut responses, mut replays) = (Vec::new(), 0usize);
-            let mut loaded = 0usize;
-            std::thread::scope(|scope| {
-                let streams = [
-                    scope.spawn(|| {
-                        let mut t =
-                            TcpTransport::connect(server.addr(), TransportConfig::default())
-                                .unwrap();
-                        (0..bounds_calls)
-                            .map(|i| roundtrip(&mut t, &bounds_req(i)))
-                            .collect::<Vec<_>>()
-                    }),
-                    scope.spawn(|| {
-                        let mut t =
-                            TcpTransport::connect(server.addr(), TransportConfig::default())
-                                .unwrap();
-                        (0..sing_calls)
-                            .map(|i| roundtrip(&mut t, &sing_req(i)))
-                            .collect::<Vec<_>>()
-                    }),
-                    scope.spawn(|| {
-                        let mut t =
-                            TcpTransport::connect(server.addr(), TransportConfig::default())
-                                .unwrap();
-                        cc_items
-                            .iter()
-                            .map(|&(d, ix)| roundtrip(&mut t, &cc_req(d, ix)))
-                            .collect::<Vec<_>>()
-                    }),
-                ];
-                // The run stream shares the storm wall clock from this thread.
-                let mut rc = RetryClient::new(
-                    &addr,
-                    TransportConfig::default(),
-                    RetryPolicy::default(),
-                    BreakerConfig::default(),
-                );
-                loaded = rc.attach_store(&dir.join("client")).expect("client store");
-                for s in 0..runs {
-                    let run = rc
-                        .run_idempotent(run_spec, &run_input(s), s)
-                        .expect("storm run");
-                    replays += usize::from(run.replayed);
-                }
-                for stream in streams {
-                    responses.extend(stream.join().expect("storm stream"));
-                }
-            });
-            let storm_s = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let (mut responses, mut replays) = (Vec::new(), 0usize);
+        let mut loaded = 0usize;
+        std::thread::scope(|scope| {
+            let streams = [
+                scope.spawn(|| {
+                    let mut t =
+                        TcpTransport::connect(server.addr(), TransportConfig::default()).unwrap();
+                    (0..bounds_calls)
+                        .map(|i| roundtrip(&mut t, &bounds_req(i)))
+                        .collect::<Vec<_>>()
+                }),
+                scope.spawn(|| {
+                    let mut t =
+                        TcpTransport::connect(server.addr(), TransportConfig::default()).unwrap();
+                    (0..sing_calls)
+                        .map(|i| roundtrip(&mut t, &sing_req(i)))
+                        .collect::<Vec<_>>()
+                }),
+                scope.spawn(|| {
+                    let mut t =
+                        TcpTransport::connect(server.addr(), TransportConfig::default()).unwrap();
+                    cc_items
+                        .iter()
+                        .map(|&(d, ix)| roundtrip(&mut t, &cc_req(d, ix)))
+                        .collect::<Vec<_>>()
+                }),
+            ];
+            // The run stream shares the storm wall clock from this thread.
+            let mut rc = RetryClient::new(
+                &addr,
+                TransportConfig::default(),
+                RetryPolicy::default(),
+                BreakerConfig::default(),
+            );
+            loaded = rc.attach_store(&dir.join("client")).expect("client store");
+            for s in 0..runs {
+                let run = rc
+                    .run_idempotent(run_spec, &run_input(s), s)
+                    .expect("storm run");
+                replays += usize::from(run.replayed);
+            }
+            for stream in streams {
+                responses.extend(stream.join().expect("storm stream"));
+            }
+        });
+        let storm_s = start.elapsed().as_secs_f64();
 
-            let records = server
-                .store_stat()
-                .expect("store must be attached")
-                .live_records;
-            let bounds = server.cache_stats();
-            let sing = server.sing_cache_stats();
-            server.shutdown();
-            (
-                boot_s,
-                storm_s,
-                responses,
-                records,
-                loaded,
-                replays,
-                (bounds.misses, sing.misses),
-            )
-        };
+        let records = server
+            .store_stat()
+            .expect("store must be attached")
+            .live_records;
+        let misses = server.cache_stats().misses;
+        server.shutdown();
+        (boot_s, storm_s, responses, records, loaded, replays, misses)
+    };
 
     let dir = std::env::temp_dir().join(format!("ccmx-bench-e21-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -825,7 +812,7 @@ fn e21_snapshot(quick: bool) {
         && cold_loaded == 0
         && warm_loaded == runs as usize
         && warm_replays == runs as usize
-        && warm_misses == (0, 0)
+        && warm_misses == 0
         && recovered >= cold_records
         && cold_records > 0;
     let warm_speedup = if warm_storm > 0.0 {

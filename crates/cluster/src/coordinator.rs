@@ -3,7 +3,7 @@
 //!
 //! Routing is consistent-hash over the request's *cache identity* — the
 //! encoded request bytes plus the active exact-arithmetic backend id,
-//! the same components that key the server-side bounds cache — so
+//! the key of the server-side verdict cache — so
 //! identical requests always land on the same shard and the cluster's
 //! aggregate cache capacity is the sum of the shards'. Around that
 //! core:
@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ccmx_net::cache::LruCache;
+use ccmx_net::cache::{verdict_key, LruCache};
 use ccmx_net::{
     BoundsReport, BreakerConfig, BreakerState, CircuitBreaker, Client, EventHandler, NetError,
     PromotedConn, Request, Response, ServerConfig, ServerHandle, TransportConfig, WireCodec,
@@ -181,14 +181,11 @@ impl ShardLink {
     }
 }
 
-/// The routing key a request hashes to: its encoded bytes plus the
-/// active linalg backend id — mirroring the shard-side bounds-cache key
-/// so an identical request is always served by the shard whose cache
-/// already holds it.
+/// The routing key a request hashes to: a hash of the shard-side
+/// verdict-cache key ([`verdict_key`]), so an identical request is
+/// always served by the shard whose cache already holds it.
 pub fn request_route_key(req: &Request) -> u64 {
-    let mut bytes = req.to_wire_bytes();
-    bytes.extend_from_slice(ccmx_linalg::crt::active_backend().id().as_bytes());
-    fnv1a64(&bytes)
+    fnv1a64(&verdict_key(req))
 }
 
 fn shards_gauge() -> &'static ccmx_obs::Gauge {

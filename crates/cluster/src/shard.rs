@@ -1,11 +1,11 @@
 //! A shard: the ordinary protocol-lab server plus a cluster identity.
 //!
-//! A shard *is* `ccmx_net::serve` — same dispatch table, same bounds
+//! A shard *is* `ccmx_net::serve` — same dispatch table, same verdict
 //! cache, same evented engine — wrapped with a stable name for ring
 //! placement and a `ccmx_shard_up{shard}` liveness gauge the operator
 //! can alert on. The interesting per-shard knob is
 //! `cache_capacity`: the coordinator's consistent hashing partitions
-//! the key space, so N shards of capacity C behave like one bounds
+//! the key space, so N shards of capacity C behave like one verdict
 //! cache of capacity ~N·C — the resource that actually scales when
 //! shards are added (see experiment E18).
 
@@ -18,7 +18,7 @@ use crate::coordinator::intern_label;
 pub struct ShardConfig {
     /// Stable shard name (ring position, metric label).
     pub name: String,
-    /// Bounds-cache entries this shard holds.
+    /// Verdict-cache entries this shard holds (`--cache-cap`).
     pub cache_capacity: usize,
     /// Compute-pool size for the evented engine.
     pub workers: usize,
@@ -37,7 +37,7 @@ impl ShardConfig {
     pub fn named(name: &str) -> Self {
         ShardConfig {
             name: name.to_string(),
-            cache_capacity: ServerConfig::default().bounds_cache_capacity,
+            cache_capacity: ServerConfig::default().cache_capacity,
             workers: ServerConfig::default().workers,
             store_root: None,
             server: ServerConfig::default(),
@@ -91,7 +91,7 @@ impl Drop for ShardHandle {
 /// Bind `addr` and serve one shard.
 pub fn serve_shard(addr: &str, config: ShardConfig) -> std::io::Result<ShardHandle> {
     let server = ServerConfig {
-        bounds_cache_capacity: config.cache_capacity.max(1),
+        cache_capacity: config.cache_capacity.max(1),
         workers: config.workers.max(1),
         store_dir: config
             .store_root

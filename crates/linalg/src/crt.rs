@@ -92,9 +92,11 @@ pub fn fast_path_stats() -> (u64, u64) {
 
 /// Content fingerprint of an integer matrix: FNV-1a 64 over the shape
 /// and the canonical decimal rendering of every entry in row-major
-/// order. Stable across processes and backends, so it can key persisted
-/// certified verdicts (the store's CRT keyspace) — two matrices with
-/// the same fingerprint are, for cache purposes, the same matrix.
+/// order. Stable across processes and backends, and useful for
+/// bucketing, sampling and logs — but it is a non-injective 64-bit
+/// hash: distinct matrices can share a fingerprint, and a collision can
+/// be forced on purpose. It must never key a certified result; cache
+/// and persist verdicts under the exact input instead.
 pub fn matrix_fingerprint(m: &Matrix<Integer>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {

@@ -157,7 +157,7 @@ impl WireCodec for ProtoSpec {
 }
 
 /// Bound summary for `(n, k)` à la the `ccmx bounds` CLI, served from
-/// the server's LRU cache.
+/// the server's verdict cache.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BoundsReport {
     /// Half-dimension parameter (odd, `>= 5`).
@@ -200,7 +200,7 @@ impl WireCodec for BoundsReport {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Theorem 1.1 bound package for `(n, k)`; served from the LRU cache.
+    /// Theorem 1.1 bound package for `(n, k)`; served from the verdict cache.
     Bounds {
         /// Half-dimension (odd, `>= 5`).
         n: usize,

@@ -47,7 +47,7 @@ use std::time::Instant;
 use polling::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 use crate::api::Response;
-use crate::server::ServerState;
+use crate::server::{queue_depth_gauge, request_bytes, ServerState};
 use crate::wire::{
     self, WireCodec, HEADER_BYTES, KIND_INTERACTIVE, KIND_REQUEST, KIND_RESPONSE, MAGIC,
     MAX_PAYLOAD_BYTES,
@@ -213,10 +213,6 @@ struct EventLoop {
     /// the load-shedding signal, mirrored into the queue-depth gauge.
     outstanding: usize,
     scratch: Vec<u8>,
-}
-
-fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
-    ccmx_obs::gauge!("ccmx_server_queue_depth")
 }
 
 impl EventLoop {
@@ -398,11 +394,7 @@ impl EventLoop {
             conn.read_buf.drain(..HEADER_BYTES + len);
             match kind {
                 KIND_REQUEST => {
-                    ccmx_obs::histogram!(
-                        "ccmx_server_request_bytes",
-                        &ccmx_obs::buckets::SIZE_BYTES
-                    )
-                    .record(payload.len() as u64);
+                    request_bytes().record(payload.len() as u64);
                     if self.outstanding >= self.state.config.max_pending_requests.max(1) {
                         self.state.counters.inc_shed();
                         let resp = Response::Error(

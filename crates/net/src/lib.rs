@@ -36,9 +36,9 @@
 //!   eviction, queue-depth load shedding, graceful shutdown that
 //!   drains in-flight batch groups) answering bound, singularity,
 //!   protocol-run, and live interactive-run requests for many
-//!   concurrent clients, with an LRU [`cache`] for repeated bound
-//!   computations and a request [`batch`]er that amortizes protocol
-//!   setup across bursts.
+//!   concurrent clients, with a single-flight verdict [`cache`] keyed
+//!   on the exact request and a request [`batch`]er that amortizes
+//!   protocol setup across bursts.
 //! * [`fault`] / [`chaos`] — chaos engineering: [`fault::FaultTransport`]
 //!   wraps any frame link in a deterministic seeded schedule of bit
 //!   flips, truncations, drops, duplicates, delays and stalls, recovers

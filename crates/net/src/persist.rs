@@ -1,30 +1,26 @@
-//! Glue between the server's in-memory caches and the persistent
-//! certified-result store (`ccmx-store`).
+//! Glue between the server's verdict cache and the persistent
+//! certified-result store (`ccmx-store`). The store moves bytes; this
+//! module owns what they mean, reusing the deterministic [`WireCodec`]
+//! layouts so `docs/STORAGE.md` §4 can specify them by reference:
 //!
-//! The store moves bytes; this module owns what those bytes *mean* for
-//! the lab: key and value encodings for each keyspace, reusing the
-//! deterministic [`WireCodec`] layouts so `docs/STORAGE.md` §4 can
-//! specify them by reference to the wire format.
+//! | keyspace  | key                                        | value                 |
+//! |-----------|--------------------------------------------|-----------------------|
+//! | `VERDICT` | [`verdict_key`]: request bytes, backend id | `Response` bytes      |
+//! | `RUN`     | `fnv64(spec, input, seed)` (u64 LE)        | `IdempotentRun` bytes |
 //!
-//! | keyspace | key                                   | value                |
-//! |----------|---------------------------------------|----------------------|
-//! | `BOUNDS` | `n, k, security, backend-id`          | `BoundsReport` bytes |
-//! | `CC`     | `rows, cols, bits, depth_limit`       | `Response` bytes     |
-//! | `CRT`    | `dim, k, fingerprint, backend-id`     | `[singular as u8]`   |
-//! | `RUN`    | `fnv64(spec, input, seed)` (u64 LE)   | `IdempotentRun` bytes|
+//! A binary running a different exact-arithmetic engine warm-starts
+//! cold for another engine's verdicts rather than trusting them, and a
+//! record that does not decode is skipped (and counted), never trusted.
+//! The legacy keyspaces `BOUNDS`, `CC` and `CRT` migrate on first open.
 //!
-//! Backend-qualified keys ([`ccmx_linalg::crt::Backend::id`]) carry the
-//! same guarantee on disk as in RAM: a binary running a different
-//! exact-arithmetic engine warm-starts *cold* for those entries rather
-//! than trusting another engine's verdicts. Decoders here are total —
-//! a record that fails to decode is skipped (and counted), never
-//! trusted, so a store written by a future layout degrades a warm start
-//! into a partial one instead of corrupting answers.
+//! [`verdict_key`]: crate::cache::verdict_key
 
 use std::path::Path;
 
-use ccmx_store::{Store, StoreConfig};
+use ccmx_store::{Keyspace, Store, StoreConfig, StoreError};
 
+use crate::api::{BoundsReport, Request, Response};
+use crate::cache::{self, VerdictCache};
 use crate::wire::{Dec, WireCodec};
 
 /// Open (or create) a store for a server, non-fatally: a store that
@@ -68,79 +64,102 @@ pub(crate) fn skipped_counter() -> &'static ccmx_obs::Counter {
     ccmx_obs::counter!("ccmx_store_warm_skipped_total")
 }
 
-// ----------------------------------------------------------------------
-// BOUNDS keyspace
-// ----------------------------------------------------------------------
-
-/// Encode a bounds-cache key.
-pub(crate) fn bounds_key(n: usize, k: u32, security: u32, backend: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    n.put(&mut out);
-    k.put(&mut out);
-    security.put(&mut out);
-    backend.to_string().put(&mut out);
-    out
+/// Count and report a failed store write. The answer it would have
+/// persisted is still served.
+pub(crate) fn write_failed(e: StoreError) {
+    ccmx_obs::counter!("ccmx_store_write_errors_total").inc();
+    eprintln!("ccmx-store[server]: write failed: {e}");
 }
 
-/// Decode a bounds-cache key: `(n, k, security, backend id)`.
-pub(crate) fn decode_bounds_key(bytes: &[u8]) -> Option<(usize, u32, u32, String)> {
-    let mut d = Dec::new(bytes);
-    let n = usize::take(&mut d).ok()?;
-    let k = u32::take(&mut d).ok()?;
-    let security = u32::take(&mut d).ok()?;
-    let backend = String::take(&mut d).ok()?;
+// ----------------------------------------------------------------------
+// VERDICT keyspace
+// ----------------------------------------------------------------------
+
+/// Seed `cache` from the `VERDICT` keyspace, keys and values verbatim:
+/// no request is decoded. Records certified under another backend stay
+/// on disk unread; they are valid, but not this engine's to trust.
+pub(crate) fn warm_seed(store: &Store, cache: &VerdictCache) {
+    let backend = ccmx_linalg::crt::active_backend().id().as_bytes();
+    let (mut seeded, mut skipped) = (0, 0);
+    store.for_each(Keyspace::VERDICT, |key, value| {
+        if !key.ends_with(backend) {
+            return;
+        }
+        if cache.seed(key, value) {
+            seeded += 1;
+        } else {
+            skipped += 1;
+        }
+    });
+    seeded_counter("verdict").add(seeded);
+    skipped_counter().add(skipped);
+}
+
+/// Move the legacy keyspaces into `VERDICT`. `bounds` and `cc` records
+/// are re-keyed under their exact request. Every `crt` record is keyed
+/// on a matrix fingerprint that two matrices can share, so it is
+/// tombstoned unread, as is any legacy record that does not decode.
+/// Counted as `ccmx_store_legacy_{rekeyed,dropped}_total{keyspace}`.
+/// A write failure stops the pass; the rest migrates on the next open.
+pub(crate) fn migrate_legacy(store: &mut Store) {
+    let active = ccmx_linalg::crt::active_backend().id();
+    let mut moves = Vec::new();
+    for (keyspace, label) in [
+        (Keyspace::BOUNDS, "bounds"),
+        (Keyspace::CC, "cc"),
+        (Keyspace::CRT, "crt"),
+    ] {
+        store.for_each(keyspace, |key, value| {
+            let rekeyed = rekey(keyspace, key, value, active);
+            moves.push((keyspace, label, key.to_vec(), rekeyed));
+        });
+    }
+    for (keyspace, label, old, rekeyed) in moves {
+        let moved = match &rekeyed {
+            Some((key, value)) => store.put(Keyspace::VERDICT, key, value),
+            None => Ok(()),
+        };
+        if let Err(e) = moved.and_then(|()| store.delete(keyspace, &old)) {
+            return write_failed(e);
+        }
+        let outcome = match rekeyed {
+            Some(_) => "ccmx_store_legacy_rekeyed_total",
+            None => "ccmx_store_legacy_dropped_total",
+        };
+        ccmx_obs::registry()
+            .counter(outcome, &[("keyspace", label)])
+            .inc();
+    }
+    if let Err(e) = store.sync() {
+        write_failed(e);
+    }
+}
+
+/// The `VERDICT` key and value of a legacy `bounds` or `cc` record, or
+/// `None` for a `crt` record or one that does not decode. A legacy key
+/// is its request's fields in wire order, without the request's wire
+/// tag (1 for `Bounds`, 6 for `CcSearch`). Bounds keys then name the
+/// backend that certified them; `cc` keys never did, and the old server
+/// trusted them under any backend, so they re-key under the active one.
+fn rekey(keyspace: Keyspace, key: &[u8], value: &[u8], active: &str) -> Option<(Vec<u8>, Vec<u8>)> {
+    let (tag, answer) = match keyspace {
+        Keyspace::BOUNDS => (
+            1,
+            Response::Bounds(BoundsReport::from_wire_bytes(value).ok()?),
+        ),
+        Keyspace::CC => (6, Response::from_wire_bytes(value).ok()?),
+        _ => return None,
+    };
+    let bytes = [&[tag], key].concat();
+    let mut d = Dec::new(&bytes);
+    let req = Request::take(&mut d).ok()?;
+    let backend = match req {
+        Request::Bounds { .. } => String::take(&mut d).ok()?,
+        _ if matches!(answer, Response::CcSearch { .. }) => active.to_string(),
+        _ => return None,
+    };
     d.finish().ok()?;
-    Some((n, k, security, backend))
-}
-
-// ----------------------------------------------------------------------
-// CC keyspace
-// ----------------------------------------------------------------------
-
-/// Encode a cc-search cache key.
-pub(crate) fn cc_key(rows: usize, cols: usize, bits: &[bool], depth_limit: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    rows.put(&mut out);
-    cols.put(&mut out);
-    ccmx_comm::BitString::from_bits(bits.to_vec()).put(&mut out);
-    depth_limit.put(&mut out);
-    out
-}
-
-/// Decode a cc-search cache key: `(rows, cols, bits, depth_limit)`.
-pub(crate) fn decode_cc_key(bytes: &[u8]) -> Option<(usize, usize, Vec<bool>, u32)> {
-    let mut d = Dec::new(bytes);
-    let rows = usize::take(&mut d).ok()?;
-    let cols = usize::take(&mut d).ok()?;
-    let bits = ccmx_comm::BitString::take(&mut d).ok()?;
-    let depth_limit = u32::take(&mut d).ok()?;
-    d.finish().ok()?;
-    Some((rows, cols, bits.as_slice().to_vec(), depth_limit))
-}
-
-// ----------------------------------------------------------------------
-// CRT keyspace
-// ----------------------------------------------------------------------
-
-/// Encode a singularity-verdict key.
-pub(crate) fn sing_key(dim: usize, k: u32, fingerprint: u64, backend: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    dim.put(&mut out);
-    k.put(&mut out);
-    fingerprint.put(&mut out);
-    backend.to_string().put(&mut out);
-    out
-}
-
-/// Decode a singularity-verdict key: `(dim, k, fingerprint, backend)`.
-pub(crate) fn decode_sing_key(bytes: &[u8]) -> Option<(usize, u32, u64, String)> {
-    let mut d = Dec::new(bytes);
-    let dim = usize::take(&mut d).ok()?;
-    let k = u32::take(&mut d).ok()?;
-    let fingerprint = u64::take(&mut d).ok()?;
-    let backend = String::take(&mut d).ok()?;
-    d.finish().ok()?;
-    Some((dim, k, fingerprint, backend))
+    Some((cache::key_under(&req, &backend), answer.to_wire_bytes()))
 }
 
 // ----------------------------------------------------------------------
@@ -193,39 +212,63 @@ pub(crate) fn decode_run(bytes: &[u8]) -> Option<crate::retry::IdempotentRun> {
 mod tests {
     use super::*;
 
+    fn legacy_bounds_key(n: usize, k: u32, security: u32, backend: &str) -> Vec<u8> {
+        let mut key = Vec::new();
+        n.put(&mut key);
+        k.put(&mut key);
+        security.put(&mut key);
+        backend.to_string().put(&mut key);
+        key
+    }
+
     #[test]
-    fn bounds_key_round_trips() {
-        let key = bounds_key(17, 4, 40, "crt");
+    fn legacy_records_rekey_under_their_exact_request() {
+        let report = BoundsReport {
+            n: 17,
+            k: 4,
+            security: 40,
+            lower_bound_bits: 1.5,
+            deterministic_upper_bits: 2.5,
+            randomized_upper_bits: 3.5,
+        };
+        let key = legacy_bounds_key(17, 4, 40, "rational");
+        let (new_key, value) = rekey(Keyspace::BOUNDS, &key, &report.to_wire_bytes(), "crt")
+            .expect("a decodable legacy bounds record");
+        let req = Request::Bounds {
+            n: 17,
+            k: 4,
+            security: 40,
+        };
+        assert_eq!(new_key, cache::key_under(&req, "rational"), "backend kept");
+        assert_eq!(value, Response::Bounds(report).to_wire_bytes());
         assert_eq!(
-            decode_bounds_key(&key),
-            Some((17usize, 4u32, 40u32, "crt".to_string()))
+            rekey(Keyspace::BOUNDS, &key[..key.len() - 1], &value, "crt"),
+            None
         );
-        assert_eq!(decode_bounds_key(&key[..key.len() - 1]), None);
-    }
 
-    #[test]
-    fn cc_key_round_trips() {
-        let bits = vec![true, false, true, true];
-        let key = cc_key(2, 2, &bits, 32);
-        assert_eq!(decode_cc_key(&key), Some((2usize, 2usize, bits, 32u32)));
-    }
-
-    #[test]
-    fn sing_key_round_trips() {
-        let key = sing_key(5, 3, 0xdead_beef_feed_f00d, "crt");
-        assert_eq!(
-            decode_sing_key(&key),
-            Some((5usize, 3u32, 0xdead_beef_feed_f00d, "crt".to_string()))
-        );
-    }
-
-    #[test]
-    fn keys_are_deterministic_and_distinct() {
-        assert_eq!(bounds_key(5, 3, 20, "crt"), bounds_key(5, 3, 20, "crt"));
-        assert_ne!(
-            bounds_key(5, 3, 20, "crt"),
-            bounds_key(5, 3, 20, "rational")
-        );
-        assert_ne!(cc_key(2, 2, &[true; 4], 0), cc_key(2, 2, &[true; 4], 32));
+        let bits = ccmx_comm::BitString::from_bits(vec![true, false, false, true]);
+        let mut key = Vec::new();
+        2usize.put(&mut key);
+        2usize.put(&mut key);
+        bits.put(&mut key);
+        32u32.put(&mut key);
+        let answer = Response::CcSearch {
+            cc: 3,
+            exact: true,
+            nodes: 1,
+            certificate: Vec::new(),
+        };
+        let (new_key, value) = rekey(Keyspace::CC, &key, &answer.to_wire_bytes(), "crt")
+            .expect("a decodable legacy cc record");
+        let req = Request::CcSearch {
+            rows: 2,
+            cols: 2,
+            bits,
+            depth_limit: 32,
+        };
+        assert_eq!(new_key, cache::key_under(&req, "crt"));
+        assert_eq!(value, answer.to_wire_bytes());
+        let not_cc = Response::Singularity { singular: true }.to_wire_bytes();
+        assert_eq!(rekey(Keyspace::CC, &key, &not_cc, "crt"), None);
     }
 }

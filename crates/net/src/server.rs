@@ -13,8 +13,8 @@
 //!   conservative fallback and as a behavioral reference for the loop.
 //!
 //! Both engines share everything above the socket: the dispatch table,
-//! a shared [`LruCache`] memoizing Theorem 1.1 bound packages,
-//! per-request deadlines, strike-based slow-client eviction, and
+//! one single-flight [`VerdictCache`] of certified answers, per-request
+//! deadlines, strike-based slow-client eviction, and
 //! **graceful shutdown that drains in-flight work** — a stop closes the
 //! listener first and answers what was already queued (batch members
 //! are never silently dropped) before joining every thread.
@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 
 use crate::api::{BoundsReport, InteractiveSetup, Request, Response};
 use crate::batch;
-use crate::cache::{CacheStats, LruCache};
+use crate::cache::{verdict_key, CacheStats, VerdictCache};
 use crate::error::NetError;
 use crate::evloop::{self, EventHandler, PromotedConn};
 use crate::persist;
@@ -80,8 +80,9 @@ pub struct ServerConfig {
     pub max_io_retries: u32,
     /// Initial retry backoff; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Capacity of the bounds LRU cache.
-    pub bounds_cache_capacity: usize,
+    /// Capacity of the verdict cache: certified bounds, singularity
+    /// and CC answers together.
+    pub cache_capacity: usize,
     /// Depth of the accepted-connection queue.
     pub queue_depth: usize,
     /// Per-request compute budget. A request whose dispatch overruns it
@@ -100,11 +101,10 @@ pub struct ServerConfig {
     /// to finish and their responses to flush before giving up.
     pub drain_timeout: Duration,
     /// Data directory for the persistent certified-result store
-    /// (`ccmx-store`). `Some(dir)` warm-starts the bounds, cc-search
-    /// and singularity caches from disk on boot and persists every
-    /// fresh verdict; `None` (the default) serves purely in-memory.
-    /// An unopenable store degrades to cold serving, never a refusal
-    /// to start.
+    /// (`ccmx-store`). `Some(dir)` warm-starts the verdict cache from
+    /// disk on boot and persists every fresh verdict; `None` (the
+    /// default) serves purely in-memory. An unopenable store degrades
+    /// to cold serving, never a refusal to start.
     pub store_dir: Option<std::path::PathBuf>,
 }
 
@@ -117,7 +117,7 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(2),
             max_io_retries: 3,
             retry_backoff: Duration::from_millis(10),
-            bounds_cache_capacity: 64,
+            cache_capacity: 192,
             queue_depth: 16,
             request_deadline: None,
             eviction_strikes: 1,
@@ -188,8 +188,9 @@ impl Counters {
     }
 }
 
-/// Connections accepted but not yet picked up by a worker.
-fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
+/// Work accepted but not yet picked up: queued connections (threaded
+/// engine) or parsed requests (evented engine).
+pub(crate) fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
     ccmx_obs::gauge!("ccmx_server_queue_depth")
 }
 
@@ -214,130 +215,58 @@ pub struct ServerStats {
     pub requests_shed: u64,
 }
 
-/// Bounds-cache key: `(n, k, security, linalg backend id)` — the backend
-/// component guarantees a server upgrade that swaps the exact-arithmetic
-/// engine can never serve an entry computed by the old one.
-type BoundsKey = (usize, u32, u32, &'static str);
-
-/// CC-search cache key: `(rows, cols, row-major entries, depth_limit)`.
-/// The depth limit is part of the key on purpose — a shallow search's
-/// inexact verdict for a matrix must never alias the exact answer a
-/// later deep query expects (and vice versa).
-type CcKey = (usize, usize, Vec<bool>, u32);
-
-/// Singularity-verdict cache key: `(dim, k, content fingerprint,
-/// linalg backend id)`. The fingerprint
-/// ([`ccmx_linalg::crt::matrix_fingerprint`]) stands in for the matrix
-/// itself, so a warm hit answers without re-decoding entries or running
-/// any elimination; the backend component carries the same
-/// upgrade-safety guarantee as [`BoundsKey`].
-type SingKey = (usize, u32, u64, &'static str);
-
 pub(crate) struct ServerState {
     pub(crate) config: ServerConfig,
     pub(crate) counters: Counters,
-    bounds_cache: Mutex<LruCache<BoundsKey, BoundsReport>>,
-    cc_cache: Mutex<LruCache<CcKey, Response>>,
-    sing_cache: Mutex<LruCache<SingKey, bool>>,
+    cache: VerdictCache,
     /// Persistent certified-result tier, when the config names a data
-    /// directory. Lock order is always cache lock before store lock
-    /// (and never both across a compute) — persistence happens after
-    /// the cache lock is released.
+    /// directory. Never locked under the cache lock: a fresh verdict is
+    /// appended after the cache has published it.
     store: Option<Mutex<ccmx_store::Store>>,
 }
 
 impl ServerState {
-    /// Build the shared state for any engine: caches, counters, and —
-    /// when configured — the persistent store, opened (with crash
-    /// recovery) and drained into the caches so the server boots warm.
+    /// Build the shared state for any engine: the verdict cache,
+    /// counters, and — when configured — the persistent store, opened
+    /// (with crash recovery) and drained into the cache so the server
+    /// boots warm.
     fn new(config: ServerConfig) -> ServerState {
-        let cap = config.bounds_cache_capacity;
         let store = config
             .store_dir
             .as_deref()
             .and_then(|dir| persist::open_store(dir, "server"));
         let state = ServerState {
+            cache: VerdictCache::new(config.cache_capacity),
             config,
             counters: Counters::default(),
-            bounds_cache: Mutex::new(LruCache::with_metrics(cap, "bounds")),
-            cc_cache: Mutex::new(LruCache::with_metrics(cap, "cc")),
-            sing_cache: Mutex::new(LruCache::with_metrics(cap, "sing")),
             store: store.map(Mutex::new),
         };
-        state.warm_start();
+        if let Some(store) = &state.store {
+            let mut store = store.lock();
+            persist::migrate_legacy(&mut store);
+            persist::warm_seed(&store, &state.cache);
+        }
         state
     }
 
-    /// Re-seed the in-memory caches from every decodable record on
-    /// disk. Entries certified by a different linalg backend stay on
-    /// disk untouched (they are valid, just not ours to trust);
-    /// undecodable records are skipped and counted, never trusted.
-    fn warm_start(&self) {
-        let Some(store) = &self.store else { return };
-        let store = store.lock();
-        let active = ccmx_linalg::crt::active_backend().id();
-
-        let mut bounds = 0u64;
-        store.for_each(ccmx_store::Keyspace::BOUNDS, |key, value| {
-            match (
-                persist::decode_bounds_key(key),
-                BoundsReport::from_wire_bytes(value),
-            ) {
-                (Some((n, k, security, backend)), Ok(report)) if backend == active => {
-                    self.bounds_cache
-                        .lock()
-                        .put((n, k, security, active), report);
-                    bounds += 1;
+    /// Answer a certified-verdict request from the cache, computing a
+    /// miss outside every lock and appending it to the store. Errors are
+    /// cached (a hostile client cannot re-trigger a failing search for
+    /// free) but never persisted: they are not certified results.
+    fn verdict(&self, req: &Request, compute: impl FnOnce() -> Response) -> Response {
+        let key = verdict_key(req);
+        let (resp, fresh) = self.cache.resolve(&key, compute);
+        if fresh && !matches!(resp, Response::Error(_)) {
+            if let Some(store) = &self.store {
+                let mut store = store.lock();
+                let value = resp.to_wire_bytes();
+                let put = store.put(ccmx_store::Keyspace::VERDICT, &key, &value);
+                if let Err(e) = put.and_then(|()| store.sync()) {
+                    persist::write_failed(e);
                 }
-                (Some(_), Ok(_)) => {}
-                _ => persist::skipped_counter().inc(),
             }
-        });
-        persist::seeded_counter("bounds").add(bounds);
-
-        let mut cc = 0u64;
-        store.for_each(ccmx_store::Keyspace::CC, |key, value| {
-            match (
-                persist::decode_cc_key(key),
-                Response::from_wire_bytes(value),
-            ) {
-                (Some((rows, cols, bits, depth_limit)), Ok(resp))
-                    if matches!(resp, Response::CcSearch { .. }) =>
-                {
-                    self.cc_cache
-                        .lock()
-                        .put((rows, cols, bits, depth_limit), resp);
-                    cc += 1;
-                }
-                _ => persist::skipped_counter().inc(),
-            }
-        });
-        persist::seeded_counter("cc").add(cc);
-
-        let mut sing = 0u64;
-        store.for_each(ccmx_store::Keyspace::CRT, |key, value| {
-            match (persist::decode_sing_key(key), value) {
-                (Some((dim, k, fp, backend)), [flag @ (0 | 1)]) if backend == active => {
-                    self.sing_cache.lock().put((dim, k, fp, active), *flag == 1);
-                    sing += 1;
-                }
-                (Some(_), [0 | 1]) => {}
-                _ => persist::skipped_counter().inc(),
-            }
-        });
-        persist::seeded_counter("sing").add(sing);
-    }
-
-    /// Append one certified result to the store, if there is one.
-    /// Write failures cost a counter and a stderr line, never an
-    /// answer — the store is an accelerator, not a dependency.
-    fn persist(&self, keyspace: ccmx_store::Keyspace, key: &[u8], value: &[u8]) {
-        let Some(store) = &self.store else { return };
-        let mut store = store.lock();
-        if let Err(e) = store.put(keyspace, key, value).and_then(|()| store.sync()) {
-            ccmx_obs::counter!("ccmx_store_write_errors_total").inc();
-            eprintln!("ccmx-store[server]: write failed: {e}");
         }
+        resp
     }
 }
 
@@ -373,14 +302,9 @@ impl ServerHandle {
         }
     }
 
-    /// Bounds-cache counters.
+    /// Verdict-cache counters (all request kinds together).
     pub fn cache_stats(&self) -> CacheStats {
-        self.state.bounds_cache.lock().stats()
-    }
-
-    /// Singularity-verdict cache counters.
-    pub fn sing_cache_stats(&self) -> CacheStats {
-        self.state.sing_cache.lock().stats()
+        self.state.cache.stats()
     }
 
     /// Snapshot of the persistent store, or `None` when the server
@@ -593,6 +517,9 @@ fn serve_transport(
         match frame {
             Ok((KIND_REQUEST, payload)) => {
                 strikes = 0;
+                // The event loop counts the requests it parses; this
+                // loop counts its own.
+                request_bytes().record(payload.len() as u64);
                 let response = answer_request(state, &payload, std::time::Instant::now());
                 if transport
                     .send_frame(KIND_RESPONSE, &response.to_wire_bytes())
@@ -652,12 +579,16 @@ fn serve_transport(
     }
 }
 
-/// Decode and dispatch one request payload, with metering, the panic
-/// shield, and post-hoc deadline enforcement. Shared by both engines;
-/// `received` anchors the deadline clock at frame arrival.
-fn answer_request(state: &ServerState, payload: &[u8], received: std::time::Instant) -> Response {
+/// Size histogram of request payloads, recorded once per request by
+/// whichever loop read the frame.
+pub(crate) fn request_bytes() -> &'static ccmx_obs::Histogram {
     ccmx_obs::histogram!("ccmx_server_request_bytes", &ccmx_obs::buckets::SIZE_BYTES)
-        .record(payload.len() as u64);
+}
+
+/// Decode and dispatch one request payload, with latency metering, the
+/// panic shield, and post-hoc deadline enforcement. Shared by both
+/// engines; `received` anchors the deadline clock at frame arrival.
+fn answer_request(state: &ServerState, payload: &[u8], received: std::time::Instant) -> Response {
     let deadline = state.config.request_deadline.map(|d| received + d);
     let mut response = {
         let _sp = ccmx_obs::span("server.request");
@@ -721,7 +652,24 @@ fn dispatch(state: &ServerState, req: &Request, deadline: Option<std::time::Inst
     state.counters.inc_served();
     match req {
         Request::Ping => Response::Pong,
-        Request::Bounds { n, k, security } => bounds_response(state, *n, *k, *security),
+        &Request::Bounds { n, k, security } => {
+            if n < 5 || n.is_multiple_of(2) || !(2..=63).contains(&k) {
+                return Response::Error(format!(
+                    "bounds need odd n >= 5 and k in 2..=63, got n={n} k={k}"
+                ));
+            }
+            state.verdict(req, || {
+                let p = Params::new(n, k);
+                Response::Bounds(BoundsReport {
+                    n,
+                    k,
+                    security,
+                    lower_bound_bits: counting::theorem_bound(p).lower_bound_bits,
+                    deterministic_upper_bits: counting::deterministic_upper_bound_bits(p),
+                    randomized_upper_bits: counting::probabilistic_upper_bound_bits(p, security),
+                })
+            })
+        }
         Request::Run { spec, input, seed } => {
             let setup = spec.build();
             if input.len() != setup.input_bits {
@@ -752,31 +700,12 @@ fn dispatch(state: &ServerState, req: &Request, deadline: Option<std::time::Inst
             // `f.eval`'s Bareiss elimination — a square matrix is
             // singular iff its rank is deficient) so server traffic
             // exercises, and is counted by, the exact-linalg fast path.
-            // Verdicts are memoized by content fingerprint — a warm
-            // (possibly disk-seeded) hit answers with zero elimination
-            // work, observable as the CRT certification counters
-            // standing still.
-            let m = f.enc.decode(input);
-            let backend = ccmx_linalg::crt::active_backend().id();
-            let fp = ccmx_linalg::crt::matrix_fingerprint(&m);
-            let mut fresh = None;
-            let singular =
-                state
-                    .sing_cache
-                    .lock()
-                    .get_or_insert_with((*dim, *k, fp, backend), || {
-                        let s = ccmx_linalg::crt::rank_int(&m) < *dim;
-                        fresh = Some(s);
-                        s
-                    });
-            if let Some(s) = fresh {
-                state.persist(
-                    ccmx_store::Keyspace::CRT,
-                    &persist::sing_key(*dim, *k, fp, backend),
-                    &[u8::from(s)],
-                );
-            }
-            Response::Singularity { singular }
+            // A hit — possibly disk-seeded — answers from the request
+            // bytes alone: no matrix decode, no elimination, observable
+            // as the CRT certification counters standing still.
+            state.verdict(req, || Response::Singularity {
+                singular: ccmx_linalg::crt::rank_int(&f.enc.decode(input)) < *dim,
+            })
         }
         Request::Batch(reqs) => batch_response(state, reqs, deadline),
         Request::Metrics => Response::Metrics(ccmx_obs::registry().render()),
@@ -785,12 +714,13 @@ fn dispatch(state: &ServerState, req: &Request, deadline: Option<std::time::Inst
             cols,
             bits,
             depth_limit,
-        } => cc_search_response(state, *rows, *cols, bits, *depth_limit),
+        } => cc_search_response(state, req, *rows, *cols, bits, *depth_limit),
     }
 }
 
 fn cc_search_response(
     state: &ServerState,
+    req: &Request,
     rows: usize,
     cols: usize,
     bits: &ccmx_comm::BitString,
@@ -809,15 +739,13 @@ fn cc_search_response(
             rows * cols
         ));
     }
-    let key = (rows, cols, bits.as_slice().to_vec(), depth_limit);
-    let mut fresh = None;
-    let response = state.cc_cache.lock().get_or_insert_with(key, || {
+    state.verdict(req, || {
         let t = ccmx_comm::truth::TruthMatrix::from_fn(rows, cols, |x, y| bits.get(x * cols + y));
         let cfg = ccmx_search::SearchConfig {
             depth_limit,
             ..ccmx_search::SearchConfig::default()
         };
-        let resp = match ccmx_search::solve(&t, &cfg) {
+        match ccmx_search::solve(&t, &cfg) {
             Ok(r) => Response::CcSearch {
                 cc: r.cc,
                 exact: r.exact,
@@ -825,56 +753,8 @@ fn cc_search_response(
                 certificate: r.certificate.map(|c| c.to_bytes()).unwrap_or_default(),
             },
             Err(e) => Response::Error(format!("cc-search failed: {e}")),
-        };
-        fresh = Some(resp.clone());
-        resp
-    });
-    // Only search *answers* are certified results worth keeping; error
-    // responses stay in RAM (they are still memoized so a hostile
-    // client cannot re-trigger the failing search for free).
-    if let Some(resp) = &fresh {
-        if matches!(resp, Response::CcSearch { .. }) {
-            state.persist(
-                ccmx_store::Keyspace::CC,
-                &persist::cc_key(rows, cols, bits.as_slice(), depth_limit),
-                &resp.to_wire_bytes(),
-            );
         }
-    }
-    response
-}
-
-fn bounds_response(state: &ServerState, n: usize, k: u32, security: u32) -> Response {
-    if n < 5 || n.is_multiple_of(2) || !(2..=63).contains(&k) {
-        return Response::Error(format!(
-            "bounds need odd n >= 5 and k in 2..=63, got n={n} k={k}"
-        ));
-    }
-    let backend = ccmx_linalg::crt::active_backend().id();
-    let mut fresh = false;
-    let report = state
-        .bounds_cache
-        .lock()
-        .get_or_insert_with((n, k, security, backend), || {
-            fresh = true;
-            let p = Params::new(n, k);
-            BoundsReport {
-                n,
-                k,
-                security,
-                lower_bound_bits: counting::theorem_bound(p).lower_bound_bits,
-                deterministic_upper_bits: counting::deterministic_upper_bound_bits(p),
-                randomized_upper_bits: counting::probabilistic_upper_bound_bits(p, security),
-            }
-        });
-    if fresh {
-        state.persist(
-            ccmx_store::Keyspace::BOUNDS,
-            &persist::bounds_key(n, k, security, backend),
-            &report.to_wire_bytes(),
-        );
-    }
-    Response::Bounds(report)
+    })
 }
 
 /// Execute a batch: `Run` requests grouped by spec so each distinct
@@ -1665,10 +1545,8 @@ mod tests {
         assert_eq!(roundtrip(&mut t, &bounds_req), cold_bounds);
         assert_eq!(roundtrip(&mut t, &sing_req), cold_sing);
         assert_eq!(roundtrip(&mut t, &cc_req), cold_cc);
-        let bounds = server.cache_stats();
-        assert_eq!((bounds.hits, bounds.misses), (1, 0), "bounds warm hit");
-        let sing = server.sing_cache_stats();
-        assert_eq!((sing.hits, sing.misses), (1, 0), "singularity warm hit");
+        let cache = server.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (3, 0), "every kind warm-hit");
         server.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -66,11 +66,14 @@ pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 pub struct Keyspace(pub u8);
 
 impl Keyspace {
-    /// Theorem 1.1 bound packages (`BoundsReport` wire bytes).
+    /// Legacy: Theorem 1.1 bound packages (`BoundsReport` wire bytes),
+    /// migrated into [`Keyspace::VERDICT`] on first open.
     pub const BOUNDS: Keyspace = Keyspace(1);
-    /// Exact `CC(f)` search verdicts (`Response::CcSearch` wire bytes).
+    /// Legacy: exact `CC(f)` search verdicts (`Response::CcSearch` wire
+    /// bytes), migrated into [`Keyspace::VERDICT`] on first open.
     pub const CC: Keyspace = Keyspace(2);
-    /// CRT-certified singularity verdicts (fingerprint + rank).
+    /// Legacy: singularity verdicts keyed on a matrix fingerprint;
+    /// dropped unread on first open.
     pub const CRT: Keyspace = Keyspace(3);
     /// Idempotent protocol-run replays (`RetryClient` ledger).
     pub const RUN: Keyspace = Keyspace(4);
@@ -78,6 +81,9 @@ impl Keyspace {
     pub const CURSOR: Keyspace = Keyspace(5);
     /// Spilled search-memo entries (canonical rectangle brackets).
     pub const MEMO: Keyspace = Keyspace(6);
+    /// Certified server verdicts keyed on the exact request (its wire
+    /// bytes, then the backend id); values are `Response` wire bytes.
+    pub const VERDICT: Keyspace = Keyspace(7);
 
     /// Human-readable name for stat output; unknown bytes print as
     /// `ks-<n>` (the store is generic over application keyspaces).
@@ -89,6 +95,7 @@ impl Keyspace {
             Keyspace::RUN => "run".into(),
             Keyspace::CURSOR => "cursor".into(),
             Keyspace::MEMO => "memo".into(),
+            Keyspace::VERDICT => "verdict".into(),
             Keyspace(other) => format!("ks-{other}"),
         }
     }

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-1 (release build + tests), formatting,
-# and a warning-free clippy pass over every target in the workspace.
+# a warning-free clippy pass over every target in the workspace, and a
+# release build of the serving benchmark (`perfbench/`, its own
+# workspace), so a change that breaks an item the benchmark uses fails
+# here rather than in the benchmark run.
 #
 # Usage: scripts/verify.sh [--quick] [--bench-smoke]
-#   --quick        skip the release build (debug tests + lints only)
-#   --bench-smoke  additionally run every criterion bench for exactly one
+#   --quick        skip the release builds (debug tests + lints only)
+#   --bench-smoke  additionally run the serving benchmark's own tests
+#                  (every workload briefly, every answer checked), and
+#                  run every criterion bench for exactly one
 #                  iteration (CCMX_BENCH_SMOKE=1): compile + run sanity
 #                  with no timing, so benches can't silently rot; check
 #                  the E19 blocked-kernel verdict (the communication-
@@ -55,12 +60,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --release
+    echo "==> cargo build --release perfbench (the benchmark builds against this tree)"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
 if [[ "$BENCH_SMOKE" -eq 1 ]]; then
+    echo "==> perfbench tests (every workload briefly, answers checked)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
     echo "==> bench smoke (one iteration per bench, no timing)"
     CCMX_BENCH_SMOKE=1 cargo bench -p ccmx-bench
     echo "==> bench_snapshot --quick"

@@ -182,7 +182,7 @@ fn batches_amortize_and_match_sequential() {
     }
     assert!(matches!(resps[6], Response::Bounds(_)));
 
-    // Repeated bounds requests hit the LRU cache.
+    // Repeated bounds requests hit the verdict cache.
     for _ in 0..5 {
         client.bounds(5, 3, 20).expect("cached bounds");
     }
@@ -208,5 +208,134 @@ fn exact_singularity_is_served_remotely() {
         .singularity(3, 3, &enc.encode(&regular))
         .expect("regular query"));
 
+    server.shutdown();
+}
+
+/// Client settings for the cache tests: a 20x20 search runs for seconds
+/// in a debug build, longer than the default 5 s read timeout allows.
+fn patient() -> TransportConfig {
+    TransportConfig {
+        read_timeout: Some(Duration::from_secs(300)),
+        ..TransportConfig::default()
+    }
+}
+
+/// A server that keeps a quiet connection open while another one's
+/// search runs, however slowly the test machine schedules the clients.
+fn patient_server() -> ccmx::net::ServerHandle {
+    serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            read_timeout: Duration::from_secs(300),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind integration-test server")
+}
+
+/// A BENCH_e20 intersection-threshold search: `popcount(x & y) >= 2`
+/// on a `dim x dim` truth matrix (CC = 5 at dim 18 and 20).
+fn intersect_search(dim: usize) -> Request {
+    Request::CcSearch {
+        rows: dim,
+        cols: dim,
+        bits: BitString::from_bits(
+            (0..dim * dim)
+                .map(|i| ((i / dim) & (i % dim)).count_ones() >= 2)
+                .collect(),
+        ),
+        depth_limit: 64,
+    }
+}
+
+#[test]
+fn cached_cc_hit_is_answered_before_a_slow_search() {
+    let server = patient_server();
+    let addr = server.addr();
+    // Equality on 2 bits (CC = 3), cached by its first request.
+    let cached = Request::CcSearch {
+        rows: 4,
+        cols: 4,
+        bits: BitString::from_bits((0..16).map(|i| i / 4 == i % 4).collect()),
+        depth_limit: 32,
+    };
+    let mut hit_client = Client::connect(addr, patient()).expect("connect");
+    let first = hit_client.request(&cached).expect("cold cc search");
+    assert!(matches!(
+        first,
+        Response::CcSearch {
+            cc: 3,
+            exact: true,
+            ..
+        }
+    ));
+    let misses = server.cache_stats().misses;
+
+    let answered = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let slow = {
+        let answered = std::sync::Arc::clone(&answered);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, patient()).expect("connect");
+            let resp = client.request(&intersect_search(20)).expect("slow search");
+            answered.lock().unwrap().push("search");
+            resp
+        })
+    };
+    // The search's miss is registered before it computes: from here on
+    // the server is searching.
+    while server.cache_stats().misses == misses {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let hit = hit_client.request(&cached).expect("cached cc search");
+    answered.lock().unwrap().push("hit");
+    let searched = slow.join().expect("search thread");
+
+    assert_eq!(hit, first);
+    assert!(matches!(
+        searched,
+        Response::CcSearch {
+            cc: 5,
+            exact: true,
+            ..
+        }
+    ));
+    assert_eq!(
+        *answered.lock().unwrap(),
+        ["hit", "search"],
+        "the cached answer waited for the search"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_identical_searches_run_one_solve() {
+    let server = patient_server();
+    let addr = server.addr();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, patient()).expect("connect");
+                start.wait();
+                client.request(&intersect_search(20)).expect("search")
+            })
+        })
+        .collect();
+    let answers: Vec<Response> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    assert!(matches!(
+        answers[0],
+        Response::CcSearch {
+            cc: 5,
+            exact: true,
+            ..
+        }
+    ));
+    assert!(answers.iter().all(|a| *a == answers[0]), "answers differ");
+    let cache = server.cache_stats();
+    assert_eq!((cache.misses, cache.hits), (1, 3), "{cache:?}");
     server.shutdown();
 }

@@ -3,17 +3,26 @@
 //! The workspace historically grew six isolated statistics surfaces:
 //! `crt::fast_path_stats`, `pool::pool_stats`,
 //! `engine::incremental_stats`, `truth::enumeration_stats`, the net
-//! server counters, and the bounds-cache counters. This test drives all
-//! six and asserts each legacy view is a thin projection of the single
-//! shared [`ccmx::obs`] registry — and that a live server scrape over
-//! the wire exposes them all in one exposition document.
+//! server counters, and the verdict-cache counters. This test drives
+//! all six and asserts each legacy view is a thin projection of the
+//! single shared [`ccmx::obs`] registry — and that a live server scrape
+//! over the wire exposes them all in one exposition document.
 
 use ccmx::net::{Client, ServerConfig, TransportConfig};
 use ccmx::obs;
 use ccmx::prelude::*;
 
+/// Both tests compare or raise process-wide counters the other one
+/// raises, so they take turns.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn all_stat_islands_share_one_registry() {
+    let _serial = serial();
     let reg = obs::registry();
 
     // --- 1. CRT certified fast path (ccmx-linalg::crt) ---------------
@@ -95,11 +104,23 @@ fn all_stat_islands_share_one_registry() {
         "fresh path uncounted"
     );
 
-    // --- 5 + 6. Server counters and bounds cache, over the wire ------
+    // --- 5 + 6. Server counters and verdict cache, over the wire -----
+    // The cache labels its registry series by request kind; together
+    // they mirror the per-instance stats.
     let req_base = reg.counter("ccmx_server_requests_total", &[]).get();
-    let cache_labels = [("cache", "bounds")];
-    let hit_base = reg.counter("ccmx_cache_hits_total", &cache_labels).get();
-    let miss_base = reg.counter("ccmx_cache_misses_total", &cache_labels).get();
+    let cache_total = |family| -> u64 {
+        ["bounds", "sing", "cc"]
+            .into_iter()
+            .map(|kind| reg.counter(family, &[("cache", kind)]).get())
+            .sum()
+    };
+    let bounds_hits = || {
+        reg.counter("ccmx_cache_hits_total", &[("cache", "bounds")])
+            .get()
+    };
+    let hit_base = cache_total("ccmx_cache_hits_total");
+    let miss_base = cache_total("ccmx_cache_misses_total");
+    let bounds_hit_base = bounds_hits();
 
     let server = ccmx::net::serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr(), TransportConfig::default()).expect("connect");
@@ -116,16 +137,21 @@ fn all_stat_islands_share_one_registry() {
     );
     let cache = server.cache_stats();
     assert_eq!(
-        reg.counter("ccmx_cache_hits_total", &cache_labels).get() - hit_base,
+        cache_total("ccmx_cache_hits_total") - hit_base,
         cache.hits,
         "cache hits != registry delta"
     );
     assert_eq!(
-        reg.counter("ccmx_cache_misses_total", &cache_labels).get() - miss_base,
+        cache_total("ccmx_cache_misses_total") - miss_base,
         cache.misses,
         "cache misses != registry delta"
     );
     assert_eq!((cache.hits, cache.misses), (1, 1));
+    assert_eq!(
+        bounds_hits() - bounds_hit_base,
+        1,
+        "the bounds hit is labelled by its kind"
+    );
 
     // One scrape over the wire shows every island at once.
     let text = client.metrics().expect("metrics scrape");
@@ -147,13 +173,14 @@ fn all_stat_islands_share_one_registry() {
 }
 
 /// The Hong–Kung I/O-model families (`ccmx_iomodel_*`) behave like the
-/// bounds-cache counters: they show up in a live wire scrape, and the
+/// cache counters: they show up in a live wire scrape, and the
 /// totals live in the process-wide registry, so dropping the server
 /// that produced them loses nothing — a successor server scrapes the
 /// accumulated values and keeps adding to them.
 #[test]
 fn iomodel_series_survive_a_server_drop() {
     use ccmx::linalg::iomodel::{self, Kernel};
+    let _serial = serial();
 
     // Total (words, calls) for a kernel across both dispatch paths:
     // which path a given shape takes is a tuning decision, the meter
