@@ -3,15 +3,15 @@
 //! 1. Bareiss (fraction-free) vs naive rational elimination for exact
 //!    determinants — the intermediate-size blow-up question.
 //! 2. CRT-modular determinant vs Bareiss, serial vs threaded.
-//! 3. Threaded (channel) protocol runner vs the sequential runner.
-//! 4. Parallel vs serial truth-matrix enumeration.
-//! 5. Serial vs row-parallel exact matmul.
+//! 3. Parallel vs serial truth-matrix enumeration.
+//! 4. Serial vs row-parallel exact matmul.
+//!
+//! The sequential protocol runner is timed against a transported one in
+//! E13 (`e13_transport`).
 
-use ccmx_bench::{pi_zero, protocol_inputs, random_matrix, rng_for, singularity};
+use ccmx_bench::{pi_zero, random_matrix, rng_for, singularity};
 use ccmx_bigint::{Natural, Rational};
-use ccmx_comm::protocols::SendAll;
 use ccmx_comm::truth::TruthMatrix;
-use ccmx_comm::{run_sequential, run_threaded};
 use ccmx_linalg::parallel::par_matmul;
 use ccmx_linalg::ring::{IntegerRing, RationalField};
 use ccmx_linalg::{bareiss, gauss, modular};
@@ -75,31 +75,6 @@ fn bench_solvers(c: &mut Criterion) {
             bch.iter(|| dixon::solve_dixon(&a, &b, &mut rng2).unwrap())
         });
     }
-    group.finish();
-}
-
-fn bench_runners(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_runners");
-    group.sample_size(10);
-    let (dim, k) = (8usize, 8u32);
-    let mut rng = rng_for("abl-run");
-    let p = pi_zero(dim, k);
-    let proto = SendAll::new(singularity(dim, k));
-    let inputs = protocol_inputs(dim, k, 4, &mut rng);
-    group.bench_function("sequential", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i += 1;
-            run_sequential(&proto, &p, &inputs[i % inputs.len()], i as u64)
-        });
-    });
-    group.bench_function("threaded_channels", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i += 1;
-            run_threaded(&proto, &p, &inputs[i % inputs.len()], i as u64)
-        });
-    });
     group.finish();
 }
 
@@ -181,7 +156,6 @@ criterion_group!(
     benches,
     bench_determinants,
     bench_solvers,
-    bench_runners,
     bench_truth_enumeration,
     bench_matmul,
     bench_bigint

@@ -19,9 +19,9 @@
 //!   and partition transforms,
 //! * [`functions`] — the Boolean functions under study (singularity,
 //!   equality, `A·B = C`, linear-system solvability),
-//! * [`protocol`] — the protocol abstraction, metered transcripts, and two
-//!   interchangeable runners (in-process sequential, and two OS threads
-//!   over crossbeam channels),
+//! * [`protocol`] — the protocol abstraction, metered transcripts, the
+//!   in-process sequential runner, and the per-agent state machine that
+//!   `ccmx-net` runs over framed links,
 //! * [`protocols`] — concrete protocols: the deterministic send-everything
 //!   upper bound (`Θ(k n²)`), the randomized mod-a-random-prime
 //!   protocols for singularity and solvability realizing Leighton's
@@ -55,6 +55,6 @@ pub use bits::BitString;
 pub use encoding::MatrixEncoding;
 pub use partition::Partition;
 pub use protocol::{
-    mem_channel_pair, run_agent, run_sequential, run_threaded, ChannelError, MemChannel, Message,
-    MsgChannel, RunResult, Step, Transcript, Turn, TwoPartyProtocol, WireMsg,
+    run_agent, run_sequential, ChannelError, Message, MsgChannel, RunResult, Step, Transcript,
+    Turn, TwoPartyProtocol, WireMsg,
 };

@@ -121,8 +121,8 @@ pub fn meter_inputs(
 pub type Runner =
     dyn Fn(&dyn TwoPartyProtocol, &Partition, &BitString, u64) -> crate::protocol::RunResult;
 
-/// [`meter_inputs`] with an explicit runner (sequential, threaded, or a
-/// wire transport supplied by another crate).
+/// [`meter_inputs`] with an explicit runner (sequential, or a wire
+/// transport supplied by another crate).
 pub fn meter_inputs_with(
     runner: &Runner,
     proto: &dyn TwoPartyProtocol,

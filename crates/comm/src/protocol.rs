@@ -1,4 +1,5 @@
-//! The protocol abstraction and its two runners.
+//! The protocol abstraction, its reference runner, and the agent state
+//! machine that transported runs share.
 //!
 //! A protocol is a deterministic (or private-coin randomized) rule that,
 //! given an agent's share of the input and the transcript so far, decides
@@ -6,13 +7,12 @@
 //! *cost* of a run is the total number of message bits exchanged —
 //! exactly the quantity `Comm(f, π, P)` of the paper's Section 1.
 //!
-//! Two runners execute the same protocol:
-//!
-//! * [`run_sequential`] — in-process alternation (fast, used by the
-//!   metering sweeps),
-//! * [`run_threaded`] — two OS threads exchanging messages over
-//!   `crossbeam` channels (the "real system"; tests assert it produces
-//!   bit-identical transcripts).
+//! * [`run_sequential`] — in-process alternation of the two agents: the
+//!   oracle, and the fast path of the metering sweeps.
+//! * [`run_agent`] — one agent's half of a run over any [`MsgChannel`].
+//!   `ccmx-net` drives it over framed in-memory links and TCP sockets,
+//!   and its tests assert those runs reproduce [`run_sequential`]'s
+//!   transcripts bit for bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -248,52 +248,14 @@ impl std::fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// The transport seam: a duplex channel carrying [`WireMsg`] between the
-/// two agents. `ccmx-comm` ships the in-memory implementation
-/// ([`MemChannel`]); `ccmx-net` adds framed TCP sockets. [`run_agent`]
-/// is written against this trait only, so every transport executes the
-/// *identical* agent state machine.
+/// two agents. `ccmx-net` implements it over framed in-memory links and
+/// TCP sockets. [`run_agent`] is written against this trait only, so
+/// every transport executes the *identical* agent state machine.
 pub trait MsgChannel {
     /// Deliver a message to the peer.
     fn send_msg(&mut self, msg: WireMsg) -> Result<(), ChannelError>;
     /// Block until the peer's next message arrives.
     fn recv_msg(&mut self) -> Result<WireMsg, ChannelError>;
-}
-
-/// In-memory transport: a pair of crossbeam channels. [`mem_channel_pair`]
-/// builds the two connected endpoints.
-pub struct MemChannel {
-    tx: crossbeam::channel::Sender<WireMsg>,
-    rx: crossbeam::channel::Receiver<WireMsg>,
-}
-
-/// Two connected in-memory endpoints (first for agent A, second for B).
-pub fn mem_channel_pair() -> (MemChannel, MemChannel) {
-    let (to_b, from_a) = crossbeam::channel::unbounded::<WireMsg>();
-    let (to_a, from_b) = crossbeam::channel::unbounded::<WireMsg>();
-    (
-        MemChannel {
-            tx: to_b,
-            rx: from_b,
-        },
-        MemChannel {
-            tx: to_a,
-            rx: from_a,
-        },
-    )
-}
-
-impl MsgChannel for MemChannel {
-    fn send_msg(&mut self, msg: WireMsg) -> Result<(), ChannelError> {
-        self.tx
-            .send(msg)
-            .map_err(|_| ChannelError("peer hung up".into()))
-    }
-
-    fn recv_msg(&mut self) -> Result<WireMsg, ChannelError> {
-        self.rx
-            .recv()
-            .map_err(|_| ChannelError("peer hung up".into()))
-    }
 }
 
 /// Execute one agent's half of a protocol over an arbitrary transport.
@@ -361,66 +323,6 @@ pub fn run_agent(
     );
 }
 
-/// Execute a protocol as two OS threads over crossbeam channels.
-///
-/// Each thread holds only its own share; the only inter-thread state is
-/// the channel pair. Produces the same [`RunResult`] as
-/// [`run_sequential`] for any deterministic-given-coins protocol (the
-/// per-agent RNG streams are identical across runners).
-pub fn run_threaded(
-    proto: &dyn TwoPartyProtocol,
-    partition: &Partition,
-    input: &BitString,
-    seed: u64,
-) -> RunResult {
-    let (share_a, share_b) = partition.split(input);
-    let limit = round_limit(input.len());
-    let (mut chan_a, mut chan_b) = mem_channel_pair();
-
-    let (res_a, res_b) = crossbeam::scope(|s| {
-        let ha = s.spawn(|_| {
-            run_agent(
-                proto,
-                partition,
-                &share_a,
-                Turn::A,
-                seed,
-                limit,
-                &mut chan_a,
-            )
-            .expect("peer hung up")
-        });
-        let hb = s.spawn(|_| {
-            run_agent(
-                proto,
-                partition,
-                &share_b,
-                Turn::B,
-                seed,
-                limit,
-                &mut chan_b,
-            )
-            .expect("peer hung up")
-        });
-        (
-            ha.join().expect("agent A panicked"),
-            hb.join().expect("agent B panicked"),
-        )
-    })
-    .expect("thread scope failed");
-
-    assert_eq!(res_a.output, res_b.output, "agents disagree on the output");
-    assert_eq!(
-        res_a.transcript, res_b.transcript,
-        "agents hold different transcripts"
-    );
-    RunResult {
-        output: res_a.output,
-        announced_by: res_a.announced_by,
-        transcript: res_a.transcript,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,18 +379,6 @@ mod tests {
             assert_eq!(r.output, v.count_ones() % 2 == 1, "v = {v:b}");
             assert_eq!(r.cost_bits(), len / 2);
             assert_eq!(r.announced_by, Turn::B);
-        }
-    }
-
-    #[test]
-    fn threaded_matches_sequential() {
-        let len = 10;
-        let p = any_partition(len);
-        for v in [0u64, 1, 513, 1023, 700] {
-            let input = BitString::from_u64(v, len);
-            let seq = run_sequential(&XorProtocol, &p, &input, 42);
-            let thr = run_threaded(&XorProtocol, &p, &input, 42);
-            assert_eq!(seq, thr);
         }
     }
 

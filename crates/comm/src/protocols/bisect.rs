@@ -163,7 +163,7 @@ impl TwoPartyProtocol for BisectEquality {
 mod tests {
     use super::*;
     use crate::functions::{BooleanFunction, Equality};
-    use crate::protocol::{run_sequential, run_threaded};
+    use crate::protocol::run_sequential;
     use crate::protocols::fingerprint::fixed_partition;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -222,20 +222,6 @@ mod tests {
             let y = x ^ (1 << flip);
             let r = run_sequential(&proto, &p, &make_input(x, y, half), flip as u64);
             assert!(!r.output, "missed difference at bit {flip}");
-        }
-    }
-
-    #[test]
-    fn threaded_runner_handles_many_rounds() {
-        let half = 16;
-        let proto = BisectEquality::new(half, 25);
-        let p = fixed_partition(half);
-        for (x, y) in [(0xFFFFu64, 0xFFFFu64), (0xFFFF, 0xFFFE), (0, 0x8000)] {
-            let input = make_input(x, y, half);
-            assert_eq!(
-                run_sequential(&proto, &p, &input, 9),
-                run_threaded(&proto, &p, &input, 9)
-            );
         }
     }
 

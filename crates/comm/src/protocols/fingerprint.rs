@@ -111,7 +111,7 @@ pub fn fixed_partition(half_bits: usize) -> crate::partition::Partition {
 mod tests {
     use super::*;
     use crate::functions::{BooleanFunction, Equality};
-    use crate::protocol::{run_sequential, run_threaded};
+    use crate::protocol::run_sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -183,18 +183,5 @@ mod tests {
                 "missed a single-bit difference at position {flip}"
             );
         }
-    }
-
-    #[test]
-    fn threaded_agrees() {
-        let half = 16;
-        let proto = FingerprintEquality::new(half, 20);
-        let p = fixed_partition(half);
-        let mut input = BitString::from_u64(0xABCD, half);
-        input.extend(&BitString::from_u64(0xABCD, half));
-        assert_eq!(
-            run_sequential(&proto, &p, &input, 2),
-            run_threaded(&proto, &p, &input, 2)
-        );
     }
 }

@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use crate::functions::{BooleanFunction, Singularity};
     use crate::partition::Partition;
-    use crate::protocol::{run_sequential, run_threaded};
+    use crate::protocol::run_sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -216,19 +216,6 @@ mod tests {
             let r = run_sequential(&proto, &p, &input, trial);
             assert_eq!(r.output, f.eval(&input), "trial {trial}");
         }
-    }
-
-    #[test]
-    fn threaded_and_sequential_agree() {
-        let proto = ModPrimeSingularity::new(2, 2, 20);
-        let enc = proto.enc;
-        let p = Partition::pi_zero(&enc);
-        let m = ccmx_linalg::matrix::int_matrix(&[&[1, 2], &[3, 3]]);
-        let input = enc.encode(&m);
-        assert_eq!(
-            run_sequential(&proto, &p, &input, 4),
-            run_threaded(&proto, &p, &input, 4)
-        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
     use super::*;
     use crate::functions::BooleanFunction;
     use crate::partition::Partition;
-    use crate::protocol::{run_sequential, run_threaded};
+    use crate::protocol::run_sequential;
     use rand::{Rng, SeedableRng};
 
     fn random_system(dim: usize, k: u32, seed: u64, force_solvable: bool) -> BitString {
@@ -207,19 +207,6 @@ mod tests {
             "{} should be below {}",
             proto.predicted_cost(),
             det_cost
-        );
-    }
-
-    #[test]
-    fn threaded_agrees() {
-        let proto = ModPrimeSolvability::new(2, 2, 20);
-        let f = Solvability::new(2, 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = Partition::random_even(f.num_bits(), &mut rng);
-        let input = random_system(2, 2, 5, true);
-        assert_eq!(
-            run_sequential(&proto, &p, &input, 8),
-            run_threaded(&proto, &p, &input, 8)
         );
     }
 }

@@ -72,7 +72,7 @@ mod tests {
     use crate::encoding::MatrixEncoding;
     use crate::functions::{Equality, Singularity};
     use crate::partition::Partition;
-    use crate::protocol::{run_sequential, run_threaded};
+    use crate::protocol::run_sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -104,21 +104,6 @@ mod tests {
             let r = run_sequential(&proto, &p, &input, 0);
             assert_eq!(r.cost_bits(), p.count_a());
             assert_eq!(r.output, Singularity::new(2, 3).eval(&input));
-        }
-    }
-
-    #[test]
-    fn threaded_runner_agrees() {
-        let f = Equality { half_bits: 6 };
-        let proto = SendAll::new(f);
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = Partition::random_even(12, &mut rng);
-        for v in [0u64, 63 << 6 | 63, 0b000001_000001, 0b100000_000001] {
-            let input = BitString::from_u64(v, 12);
-            assert_eq!(
-                run_sequential(&proto, &p, &input, 1),
-                run_threaded(&proto, &p, &input, 1)
-            );
         }
     }
 

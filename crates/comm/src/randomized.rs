@@ -301,17 +301,4 @@ mod tests {
             "should stop after round 1"
         );
     }
-
-    #[test]
-    fn threaded_agrees_for_amplified() {
-        let inner = ModPrimeSingularity::new(2, 2, 10);
-        let proto = AmplifiedModPrime::new(inner, 3);
-        let enc = inner.enc;
-        let p = Partition::pi_zero(&enc);
-        let input = random_input(&enc, 7);
-        assert_eq!(
-            run_sequential(&proto, &p, &input, 3),
-            crate::protocol::run_threaded(&proto, &p, &input, 3)
-        );
-    }
 }

@@ -8,7 +8,7 @@
 //! monochromatic rectangles partitioning this matrix.
 //!
 //! Rows are stored as packed `u64` bitsets; enumeration is parallelized
-//! over rows with the crossbeam pool from `ccmx-linalg`.
+//! over rows with the worker pool from `ccmx-linalg`.
 
 use ccmx_linalg::parallel::par_map;
 

@@ -119,7 +119,30 @@ impl IoMeter {
         let (words, calls) = series(self.kernel, blocked);
         words.add(self.words);
         calls.inc();
+        #[cfg(test)]
+        FLUSHED.with(|f| {
+            let mut tally = f.get();
+            let slot = &mut tally[self.kernel as usize * 2 + usize::from(blocked)];
+            slot.0 += self.words;
+            slot.1 += 1;
+            f.set(tally);
+        });
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(words, calls)` this thread's meters flushed, per kernel/path.
+    /// The registry series are process-wide and move under every test
+    /// thread's kernel calls; this tally moves only under this thread's.
+    static FLUSHED: std::cell::Cell<[(u64, u64); 6]> = const { std::cell::Cell::new([(0, 0); 6]) };
+}
+
+/// This thread's share of [`kernel_stats`]: what only its own kernel
+/// calls flushed.
+#[cfg(test)]
+pub(crate) fn thread_kernel_stats(kernel: Kernel, blocked: bool) -> (u64, u64) {
+    FLUSHED.with(|f| f.get()[kernel as usize * 2 + usize::from(blocked)])
 }
 
 /// The `(words_moved, kernel_calls)` counters for a kernel/path pair.

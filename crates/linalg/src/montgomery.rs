@@ -1326,9 +1326,9 @@ mod tests {
         let field = MontgomeryField::new(p);
         let n = 32;
         let a = random_residues(&field, n, n, 9001);
-        let (w0, c0) = iomodel::kernel_stats(iomodel::Kernel::Det, true);
+        let (w0, c0) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, true);
         let _ = det_from_residues_blocked(&field, n, &a, 8);
-        let (w1, c1) = iomodel::kernel_stats(iomodel::Kernel::Det, true);
+        let (w1, c1) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, true);
         assert_eq!(c1 - c0, 1, "one blocked det call");
         let moved = w1 - w0;
         assert!(moved > 0, "meter must move words");
@@ -1348,15 +1348,15 @@ mod tests {
         let field = MontgomeryField::new(p);
         let n = 24;
         let a = random_residues(&field, n, n, 42);
-        let (w0, _) = iomodel::kernel_stats(iomodel::Kernel::Det, false);
+        let (w0, _) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, false);
         let _ = det_from_residues_scalar(&field, n, &a);
-        let (w1, _) = iomodel::kernel_stats(iomodel::Kernel::Det, false);
+        let (w1, _) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, false);
         assert!(w1 - w0 >= (n * n) as u64, "scalar path meters its sweep");
         // Sub-threshold shapes stay unmetered.
         let small = random_residues(&field, 4, 4, 43);
-        let (s0, _) = iomodel::kernel_stats(iomodel::Kernel::Det, false);
+        let (s0, _) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, false);
         let _ = det_from_residues_scalar(&field, 4, &small);
-        let (s1, _) = iomodel::kernel_stats(iomodel::Kernel::Det, false);
+        let (s1, _) = iomodel::thread_kernel_stats(iomodel::Kernel::Det, false);
         assert_eq!(s1, s0, "small shapes skip the meter");
     }
 }

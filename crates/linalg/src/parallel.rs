@@ -8,7 +8,7 @@
 //!
 //! Since the kernel-engine rework the executors come from
 //! [`crate::pool`] — a lazily grown, process-wide pool of parked worker
-//! threads — instead of a fresh `crossbeam::scope` per call, so a tight
+//! threads — instead of a fresh thread scope per call, so a tight
 //! loop of small `par_map` batches (the CRT enumeration pattern) costs
 //! zero thread spawns after warm-up. Calls made *from inside* a pool
 //! task run serially inline: nested parallelism (CRT inside an

@@ -1,7 +1,7 @@
 //! Persistent work-stealing worker pool.
 //!
-//! [`crate::parallel::par_map`] used to spawn a fresh `crossbeam::scope`
-//! per call — fine for one-shot determinants, wasteful for the
+//! [`crate::parallel::par_map`] used to spawn a fresh thread scope per
+//! call — fine for one-shot determinants, wasteful for the
 //! enumeration stack, which issues thousands of small CRT batches and
 //! paid a thread spawn/join per batch. This module keeps one
 //! process-wide pool of parked workers (grown lazily to the highest

@@ -313,7 +313,7 @@ impl WireCodec for Request {
                 k: u32::take(d)?,
                 input: BitString::take(d)?,
             }),
-            4 => Ok(Request::Batch(Vec::<Request>::take(d)?)),
+            4 => Ok(Request::Batch(d.take_batch()?)),
             5 => Ok(Request::Metrics),
             6 => Ok(Request::CcSearch {
                 rows: usize::take(d)?,
@@ -414,7 +414,7 @@ impl WireCodec for Response {
             3 => Ok(Response::Singularity {
                 singular: bool::take(d)?,
             }),
-            4 => Ok(Response::Batch(Vec::<Response>::take(d)?)),
+            4 => Ok(Response::Batch(d.take_batch()?)),
             5 => Ok(Response::Error(String::take(d)?)),
             6 => Ok(Response::Metrics(String::take(d)?)),
             7 => Ok(Response::CcSearch {

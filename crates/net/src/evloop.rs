@@ -1,9 +1,9 @@
 //! Readiness-based event-loop engine: nonblocking TCP + `poll(2)`.
 //!
-//! The threaded engine in [`crate::server`] dedicates a worker thread to
-//! each live connection, which caps concurrency at the pool size: ten
-//! thousand idle clients would need ten thousand stacks. This engine
-//! inverts the layout into the classic single-reactor shape:
+//! A thread per live connection would cap concurrency at the pool size:
+//! ten thousand idle clients would need ten thousand stacks. This
+//! engine, which every [`crate::server`] runs, takes the classic
+//! single-reactor shape instead:
 //!
 //! * **one loop thread** owns the nonblocking listener and every
 //!   connection; `poll(2)` (via the vendored `polling` shim — the build
@@ -454,9 +454,9 @@ impl EventLoop {
         }
     }
 
-    /// Answer with an error frame, then close once it is flushed. The
-    /// threaded engine drops such connections too — this one just owes
-    /// the bytes already queued first.
+    /// Answer with an error frame, then close once it is flushed: the
+    /// connection is dropped, but only after the bytes already queued
+    /// for it.
     fn protocol_error(&mut self, id: u64, msg: &str) {
         let resp = Response::Error(msg.to_string());
         self.enqueue_response(id, &resp.to_wire_bytes());
@@ -532,10 +532,11 @@ impl EventLoop {
         }
     }
 
-    /// Strike-based eviction, identical policy to the threaded engine: a
-    /// connection silent past the read timeout earns a strike per
-    /// window, and is evicted once `eviction_strikes` are exhausted. A
-    /// connection we owe work or bytes to is never idle.
+    /// Strike-based eviction, the same policy as the blocking loop of
+    /// promoted connections: a connection silent past the read timeout
+    /// earns a strike per window, and is evicted once `eviction_strikes`
+    /// are exhausted. A connection we owe work or bytes to is never
+    /// idle.
     fn reap_idle(&mut self, draining: bool) {
         if draining {
             return;

@@ -11,7 +11,7 @@
 //! Layering:
 //!
 //! * [`FrameLink`] — the raw byte link: moves `(kind, payload)` frames
-//!   and nothing else. Implemented by [`MemFrameLink`] (crossbeam
+//!   and nothing else. Implemented by [`MemFrameLink`] (in-process
 //!   channels) and by [`crate::TcpTransport`] (a real socket).
 //! * [`FaultTransport`] — wraps a `FrameLink` and implements
 //!   [`Transport`]. Every protocol message is sealed into a *chaos
@@ -42,12 +42,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use ccmx_comm::protocol::WireMsg;
-use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::NetError;
-use crate::transport::{TcpTransport, Transport, TransportStats};
+use crate::transport::{mem_link_pair, MemFrameLink, TcpTransport, Transport, TransportStats};
 use crate::wire::{self, payload_bits, WireCodec, KIND_CHAOS};
 
 // ----------------------------------------------------------------------
@@ -70,45 +69,16 @@ pub trait FrameLink {
     fn recv_link(&mut self) -> Result<(u8, Vec<u8>), NetError>;
 }
 
-/// In-process [`FrameLink`]: encoded frames over crossbeam channels,
-/// with a bounded receive timeout so the fault layer's NACK clock
-/// ticks.
-pub struct MemFrameLink {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    recv_timeout: Duration,
-}
-
-/// Two connected [`MemFrameLink`] endpoints. `recv_timeout` is the
-/// NACK clock: how long an endpoint waits for a missing frame before
-/// requesting retransmission.
-pub fn mem_link_pair(recv_timeout: Duration) -> (MemFrameLink, MemFrameLink) {
-    let (tx_ab, rx_ab) = crossbeam::channel::unbounded();
-    let (tx_ba, rx_ba) = crossbeam::channel::unbounded();
-    let mk = |tx, rx| MemFrameLink {
-        tx,
-        rx,
-        recv_timeout,
-    };
-    (mk(tx_ab, rx_ba), mk(tx_ba, rx_ab))
-}
-
+/// An in-process link is a frame link: build the pair with a receive
+/// timeout ([`fault_mem_pair`] passes [`DEFAULT_NACK_INTERVAL`]) so the
+/// fault layer's NACK clock ticks.
 impl FrameLink for MemFrameLink {
     fn send_link(&mut self, kind: u8, payload: &[u8]) -> Result<(), NetError> {
-        let frame = wire::encode_frame(kind, payload)?;
-        self.tx.send(frame).map_err(|_| NetError::Disconnected)
+        self.send_frame(kind, payload)
     }
 
     fn recv_link(&mut self) -> Result<(u8, Vec<u8>), NetError> {
-        use crossbeam::channel::RecvTimeoutError;
-        let frame = self
-            .rx
-            .recv_timeout(self.recv_timeout)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => NetError::Timeout,
-                RecvTimeoutError::Disconnected => NetError::Disconnected,
-            })?;
-        wire::read_frame(&mut frame.as_slice())
+        self.recv_frame()
     }
 }
 
@@ -737,7 +707,7 @@ pub fn fault_mem_pair(
     cfg_a: FaultConfig,
     cfg_b: FaultConfig,
 ) -> (FaultTransport<MemFrameLink>, FaultTransport<MemFrameLink>) {
-    let (la, lb) = mem_link_pair(DEFAULT_NACK_INTERVAL);
+    let (la, lb) = mem_link_pair(Some(DEFAULT_NACK_INTERVAL));
     (
         FaultTransport::new(la, cfg_a),
         FaultTransport::new(lb, cfg_b),

@@ -3,11 +3,11 @@
 //! Wire-level transport and a multi-client protocol-lab server for the
 //! Chu–Schnitger reproduction.
 //!
-//! The sequential and threaded runners in `ccmx-comm` execute both
-//! agents inside one process; this crate lifts the *same* agent state
-//! machine onto real byte streams, making the two-party separation
-//! physical while keeping the communication-complexity accounting
-//! exact. The layers:
+//! The sequential runner in `ccmx-comm` executes both agents inside one
+//! loop; this crate lifts the *same* agent state machine
+//! (`ccmx_comm::run_agent`) onto framed byte streams, making the
+//! two-party separation physical while keeping the
+//! communication-complexity accounting exact. The layers:
 //!
 //! * [`wire`] — a length-prefixed, bit-accurate framed codec for every
 //!   value that crosses a socket (`BitString`, `Message`, `Transcript`,
@@ -15,23 +15,24 @@
 //!   because the build is fully offline and serde cannot be vendored;
 //!   the codec's round-trip law is enforced by a property suite.
 //! * [`transport`] — [`transport::Transport`]: in-memory
-//!   ([`transport::MemTransport`], crossbeam channels carrying encoded
-//!   frames) and TCP ([`transport::TcpTransport`], timeouts + bounded
-//!   retry with backoff). Both meter exactly the protocol bits they
-//!   carry, so the wire cost of a run equals its transcript bit count.
+//!   ([`transport::MemFrameLink`], channels carrying encoded frames)
+//!   and TCP ([`transport::TcpTransport`], timeouts + bounded retry
+//!   with backoff). Both meter exactly the protocol bits they carry, so
+//!   the wire cost of a run equals its transcript bit count.
 //! * [`runner`] — transported runners whose [`ccmx_comm::RunResult`] is
 //!   asserted bit-identical to `run_sequential`'s.
 //! * [`evloop`] — a hand-rolled readiness-based event loop (nonblocking
 //!   TCP + `poll(2)` via the vendored `polling` shim; the build is
-//!   offline, so no async runtime): one thread multiplexes the accept
-//!   path and every idle or header-reading connection, and promotes a
-//!   connection to a worker only once a complete request header is
-//!   buffered. Thousands of open connections cost file descriptors,
-//!   not threads. The [`evloop::EventHandler`] trait lets embedders
-//!   (the cluster coordinator) reuse the engine with their own
-//!   dispatch.
+//!   offline, so no async runtime): one thread owns the listener and
+//!   every connection, buffers frames as they arrive, and queues each
+//!   complete request frame as a job for the compute pool. Only a
+//!   connection that starts an interactive run leaves the loop, for a
+//!   dedicated thread. Thousands of open connections cost file
+//!   descriptors, not threads. The [`evloop::EventHandler`] trait lets
+//!   embedders (the cluster coordinator) reuse the engine with their
+//!   own dispatch.
 //! * [`server`] / [`client`] — the protocol-lab server on top of that
-//!   engine (fixed worker pool for request execution, per-connection
+//!   engine (a compute pool for request execution, per-connection
 //!   timeouts, per-request deadlines, strike-based slow-client
 //!   eviction, queue-depth load shedding, graceful shutdown that
 //!   drains in-flight batch groups) answering bound, singularity,
@@ -85,16 +86,13 @@ pub use client::Client;
 pub use error::NetError;
 pub use evloop::{EventHandler, PromotedConn};
 pub use fault::{
-    fault_mem_pair, mem_link_pair, FaultConfig, FaultKind, FaultPlan, FaultStats, FaultTransport,
-    FrameLink, MemFrameLink,
+    fault_mem_pair, FaultConfig, FaultKind, FaultPlan, FaultStats, FaultTransport, FrameLink,
 };
 pub use retry::{IdempotentRun, RetryClient, RetryPolicy};
 pub use runner::{run_mem_metered, run_mem_transport, run_tcp_loopback, run_tcp_loopback_metered};
-pub use server::{
-    serve, serve_with_handler, ServerConfig, ServerEngine, ServerHandle, ServerStats,
-};
+pub use server::{serve, serve_with_handler, ServerConfig, ServerHandle, ServerStats};
 pub use transport::{
-    mem_transport_pair, AsChannel, MemTransport, TcpTransport, Transport, TransportConfig,
+    mem_link_pair, AsChannel, MemFrameLink, TcpTransport, Transport, TransportConfig,
     TransportStats,
 };
 pub use wire::WireCodec;

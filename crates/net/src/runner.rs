@@ -17,7 +17,7 @@ use ccmx_comm::{BitString, Partition};
 
 use crate::error::NetError;
 use crate::transport::{
-    mem_transport_pair, AsChannel, TcpTransport, Transport, TransportConfig, TransportStats,
+    mem_link_pair, AsChannel, TcpTransport, Transport, TransportConfig, TransportStats,
 };
 
 /// Drive both agents over an arbitrary connected transport pair,
@@ -52,14 +52,14 @@ where
     let (share_a, share_b) = partition.split(input);
     let limit = round_limit(input.len());
 
-    let (res_a, res_b) = crossbeam::scope(|s| {
-        let a = s.spawn(|_| -> Result<(RunResult, OA), NetError> {
+    let (res_a, res_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| -> Result<(RunResult, OA), NetError> {
             let mut chan = AsChannel(chan_a);
             let r = run_agent(proto, partition, &share_a, Turn::A, seed, limit, &mut chan)
                 .map_err(|e| NetError::Protocol(format!("agent A: {e}")))?;
             Ok((r, finish_a(chan.into_inner())?))
         });
-        let b = s.spawn(|_| -> Result<(RunResult, OB), NetError> {
+        let b = s.spawn(|| -> Result<(RunResult, OB), NetError> {
             let mut chan = AsChannel(chan_b);
             let r = run_agent(proto, partition, &share_b, Turn::B, seed, limit, &mut chan)
                 .map_err(|e| NetError::Protocol(format!("agent B: {e}")))?;
@@ -69,8 +69,7 @@ where
             a.join().expect("agent A panicked"),
             b.join().expect("agent B panicked"),
         )
-    })
-    .expect("transported run panicked");
+    });
 
     let (result_a, out_a) = res_a?;
     let (result_b, out_b) = res_b?;
@@ -114,14 +113,14 @@ where
     (result, stats_a, stats_b)
 }
 
-/// Run over the in-memory framed transport; returns per-endpoint stats.
+/// Run over the in-memory framed link; returns per-endpoint stats.
 pub fn run_mem_metered(
     proto: &dyn TwoPartyProtocol,
     partition: &Partition,
     input: &BitString,
     seed: u64,
 ) -> (RunResult, TransportStats, TransportStats) {
-    let (chan_a, chan_b) = mem_transport_pair();
+    let (chan_a, chan_b) = mem_link_pair(None);
     run_over(proto, partition, input, seed, chan_a, chan_b)
 }
 
@@ -137,15 +136,14 @@ pub fn run_tcp_loopback_metered(
     let cfg = TransportConfig::default();
 
     // Accept on a helper thread so connect/accept cannot deadlock.
-    let (accepted, connected) = crossbeam::scope(|s| {
-        let acceptor = s.spawn(move |_| {
+    let (accepted, connected) = std::thread::scope(|s| {
+        let acceptor = s.spawn(move || {
             let (stream, _) = listener.accept().expect("accept loopback peer");
             TcpTransport::from_stream(stream, cfg).expect("wrap accepted stream")
         });
         let connected = TcpTransport::connect(addr, cfg).expect("connect loopback peer");
         (acceptor.join().expect("acceptor panicked"), connected)
-    })
-    .expect("loopback setup panicked");
+    });
 
     run_over(proto, partition, input, seed, connected, accepted)
 }

@@ -1,20 +1,14 @@
 //! The protocol-lab server: a TCP service answering bound, singularity,
-//! and protocol-run requests for many concurrent clients, with a choice
-//! of two engines behind one [`serve`] front door:
+//! and protocol-run requests for many concurrent clients.
 //!
-//! * [`ServerEngine::Evented`] (the default) — a readiness-based event
-//!   loop ([`crate::evloop`]): one loop thread owns every connection via
-//!   nonblocking sockets and `poll(2)`, a small compute pool executes
-//!   dispatch, and connections are state rather than threads — which is
-//!   what lets one process hold ten thousand concurrent clients.
-//! * [`ServerEngine::Threaded`] — the original thread-per-connection
-//!   layout: an accept thread pushes connections into a bounded
-//!   crossbeam channel drained by a fixed worker pool. Kept as the
-//!   conservative fallback and as a behavioral reference for the loop.
-//!
-//! Both engines share everything above the socket: the dispatch table,
-//! one single-flight [`VerdictCache`] of certified answers, per-request
-//! deadlines, strike-based slow-client eviction, and
+//! Connections are served by the readiness-based event loop in
+//! [`crate::evloop`]: one loop thread owns every connection through
+//! nonblocking sockets and `poll(2)`, and a compute pool of
+//! [`ServerConfig::workers`] threads runs dispatch. A connection is
+//! state rather than a thread, which is what lets one process hold ten
+//! thousand concurrent clients. Above the socket sit the dispatch
+//! table, one single-flight [`VerdictCache`] of certified answers,
+//! per-request deadlines, strike-based slow-client eviction, and
 //! **graceful shutdown that drains in-flight work** — a stop closes the
 //! listener first and answers what was already queued (batch members
 //! are never silently dropped) before joining every thread.
@@ -24,9 +18,9 @@
 //! server replays the identical `run_agent` state machine as the
 //! in-process runners, so the transcript both sides assemble — and
 //! therefore the metered bit cost — is byte-for-byte the same as
-//! `run_sequential` on one machine. Under the evented engine such a
-//! connection is *promoted* off the loop onto a dedicated thread, since
-//! the exchange is blocking by nature.
+//! `run_sequential` on one machine. Such a connection is *promoted* off
+//! the loop onto a dedicated thread, since the exchange is blocking by
+//! nature, and that thread keeps serving it with a blocking loop.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,27 +46,14 @@ use crate::persist;
 use crate::transport::{AsChannel, TcpTransport, TransportConfig};
 use crate::wire::{WireCodec, KIND_INTERACTIVE, KIND_REQUEST, KIND_RESPONSE};
 
-/// Which connection-handling engine [`serve`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerEngine {
-    /// Readiness-based event loop: nonblocking sockets + `poll(2)`,
-    /// connections as state. Scales to tens of thousands of clients.
-    Evented,
-    /// Thread-per-connection with a fixed worker pool: concurrency is
-    /// capped at [`ServerConfig::workers`].
-    Threaded,
-}
-
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Connection engine; [`ServerEngine::Evented`] unless overridden.
-    pub engine: ServerEngine,
-    /// Compute-pool size (evented) or connection-worker count
-    /// (threaded).
+    /// Size of the compute pool that runs request dispatch off the
+    /// event loop.
     pub workers: usize,
-    /// Per-connection read timeout; a client silent for longer is
-    /// dropped (and its worker freed).
+    /// Per-connection read window; a client silent for longer earns a
+    /// strike (see [`Self::eviction_strikes`]).
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
@@ -83,8 +64,6 @@ pub struct ServerConfig {
     /// Capacity of the verdict cache: certified bounds, singularity
     /// and CC answers together.
     pub cache_capacity: usize,
-    /// Depth of the accepted-connection queue.
-    pub queue_depth: usize,
     /// Per-request compute budget. A request whose dispatch overruns it
     /// is answered with an error (the connection survives); batch
     /// members past the deadline are refused without executing.
@@ -94,11 +73,11 @@ pub struct ServerConfig {
     /// evicted. `1` reproduces the old drop-on-first-timeout behavior;
     /// higher values give bursty-but-alive clients extra read windows.
     pub eviction_strikes: u32,
-    /// Evented engine: requests parsed but not yet answered before the
-    /// loop starts shedding load with immediate overload errors.
+    /// Requests parsed but not yet answered before the event loop
+    /// starts shedding load with immediate overload errors.
     pub max_pending_requests: usize,
-    /// Evented engine: how long a shutdown waits for in-flight requests
-    /// to finish and their responses to flush before giving up.
+    /// How long a shutdown waits for in-flight requests to finish and
+    /// their responses to flush before giving up.
     pub drain_timeout: Duration,
     /// Data directory for the persistent certified-result store
     /// (`ccmx-store`). `Some(dir)` warm-starts the verdict cache from
@@ -111,14 +90,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            engine: ServerEngine::Evented,
             workers: 4,
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             max_io_retries: 3,
             retry_backoff: Duration::from_millis(10),
             cache_capacity: 192,
-            queue_depth: 16,
             request_deadline: None,
             eviction_strikes: 1,
             max_pending_requests: 16 * 1024,
@@ -188,8 +165,8 @@ impl Counters {
     }
 }
 
-/// Work accepted but not yet picked up: queued connections (threaded
-/// engine) or parsed requests (evented engine).
+/// Requests the event loop has parsed but not yet answered: its
+/// load-shedding signal.
 pub(crate) fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
     ccmx_obs::gauge!("ccmx_server_queue_depth")
 }
@@ -197,7 +174,7 @@ pub(crate) fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
 /// A point-in-time copy of the server counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections the accept thread handed to the pool.
+    /// Connections the event loop accepted.
     pub connections_accepted: u64,
     /// Requests answered (batch members count individually).
     pub requests_served: u64,
@@ -211,7 +188,7 @@ pub struct ServerStats {
     /// Requests that overran [`ServerConfig::request_deadline`].
     pub deadlines_exceeded: u64,
     /// Requests answered with an immediate overload error because the
-    /// evented engine's pending queue was full.
+    /// event loop's pending queue was full.
     pub requests_shed: u64,
 }
 
@@ -223,13 +200,15 @@ pub(crate) struct ServerState {
     /// directory. Never locked under the cache lock: a fresh verdict is
     /// appended after the cache has published it.
     store: Option<Mutex<ccmx_store::Store>>,
+    /// Connections promoted off the event loop for interactive runs;
+    /// joined at shutdown so no agent thread outlives the handle.
+    promoted: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ServerState {
-    /// Build the shared state for any engine: the verdict cache,
-    /// counters, and — when configured — the persistent store, opened
-    /// (with crash recovery) and drained into the cache so the server
-    /// boots warm.
+    /// Build the shared state: the verdict cache, counters, and — when
+    /// configured — the persistent store, opened (with crash recovery)
+    /// and drained into the cache so the server boots warm.
     fn new(config: ServerConfig) -> ServerState {
         let store = config
             .store_dir
@@ -240,6 +219,7 @@ impl ServerState {
             config,
             counters: Counters::default(),
             store: store.map(Mutex::new),
+            promoted: Mutex::new(Vec::new()),
         };
         if let Some(store) = &state.store {
             let mut store = store.lock();
@@ -276,9 +256,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    /// Connections promoted off the event loop for interactive runs;
-    /// joined at shutdown so no agent thread outlives the handle.
-    promoted: Arc<Mutex<Vec<JoinHandle<()>>>>,
     state: Arc<ServerState>,
 }
 
@@ -314,8 +291,8 @@ impl ServerHandle {
         self.state.store.as_ref().map(|s| s.lock().stat())
     }
 
-    /// Stop accepting, let workers finish in-flight connections, and
-    /// join every thread.
+    /// Stop accepting, answer the requests already queued, and join
+    /// every thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -324,14 +301,14 @@ impl ServerHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The threaded accept thread blocks in `accept`; a throwaway
-        // self-connection wakes it so it can observe the flag. The
-        // event loop notices at its next tick regardless.
+        // A throwaway self-connection makes the listener readable, which
+        // wakes the loop's `poll` so it sees the flag now rather than at
+        // its next tick.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        let promoted = std::mem::take(&mut *self.promoted.lock());
+        let promoted = std::mem::take(&mut *self.state.promoted.lock());
         for t in promoted {
             let _ = t.join();
         }
@@ -344,114 +321,56 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the configured engine.
+/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve the lab's dispatch
+/// table on the event loop.
 pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
     // Pre-register the robustness series so a metrics scrape of a
     // healthy server shows them at zero instead of omitting them.
     ccmx_obs::counter!("ccmx_server_evicted_total").add(0);
     ccmx_obs::counter!("ccmx_server_deadline_exceeded_total").add(0);
     ccmx_obs::counter!("ccmx_server_shed_total").add(0);
-    let engine = config.engine;
-    let state = Arc::new(ServerState::new(config));
-    let stop = Arc::new(AtomicBool::new(false));
-    let promoted: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let threads = match engine {
-        ServerEngine::Evented => {
-            let handler = Arc::new(LabHandler {
-                state: Arc::clone(&state),
-                promoted: Arc::clone(&promoted),
-            });
-            evloop::spawn_engine(listener, Arc::clone(&state), handler, Arc::clone(&stop))?
-        }
-        ServerEngine::Threaded => spawn_threaded(listener, Arc::clone(&state), Arc::clone(&stop)),
-    };
-
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        threads,
-        promoted,
-        state,
-    })
+    start(addr, config, |state| Arc::new(LabHandler { state }))
 }
 
-/// Bind `addr` and run the evented engine with a *custom* dispatch —
-/// the building block for services that speak the lab's wire protocol
-/// but answer requests their own way (the cluster coordinator routes
-/// them to shards instead of computing locally). The handler runs on
-/// the engine's compute pool; `config` supplies the pool size, drain
-/// and backpressure knobs exactly as for [`serve`].
+/// Bind `addr` and run the event loop with a *custom* dispatch — the
+/// building block for services that speak the lab's wire protocol but
+/// answer requests their own way (the cluster coordinator routes them
+/// to shards instead of computing locally). The handler runs on the
+/// loop's compute pool; `config` supplies the pool size, drain and
+/// backpressure knobs exactly as for [`serve`].
 pub fn serve_with_handler(
     addr: &str,
     config: ServerConfig,
     handler: Arc<dyn EventHandler>,
 ) -> std::io::Result<ServerHandle> {
+    start(addr, config, |_| handler)
+}
+
+/// The start path both front doors share: bind, build the shared state,
+/// and spawn the event loop and its pool around the handler that
+/// `make_handler` builds over that state.
+fn start(
+    addr: &str,
+    config: ServerConfig,
+    make_handler: impl FnOnce(Arc<ServerState>) -> Arc<dyn EventHandler>,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let state = Arc::new(ServerState::new(config));
     let stop = Arc::new(AtomicBool::new(false));
-    let promoted: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let handler = make_handler(Arc::clone(&state));
     let threads = evloop::spawn_engine(listener, Arc::clone(&state), handler, Arc::clone(&stop))?;
     Ok(ServerHandle {
         addr: local,
         stop,
         threads,
-        promoted,
         state,
     })
-}
-
-/// The thread-per-connection engine: accept thread + fixed worker pool.
-fn spawn_threaded(
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
-) -> Vec<JoinHandle<()>> {
-    let queue_depth = state.config.queue_depth.max(1);
-    let workers = state.config.workers.max(1);
-    let (conn_tx, conn_rx) = crossbeam::channel::bounded::<TcpStream>(queue_depth);
-
-    let mut threads = Vec::with_capacity(workers + 1);
-    threads.push({
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                state.counters.inc_accepted();
-                queue_depth_gauge().add(1);
-                if conn_tx.send(stream).is_err() {
-                    queue_depth_gauge().add(-1);
-                    break;
-                }
-            }
-            // conn_tx drops here; workers drain and exit.
-        })
-    });
-    for _ in 0..workers {
-        let rx = conn_rx.clone();
-        let state = Arc::clone(&state);
-        threads.push(std::thread::spawn(move || {
-            // recv drains queued connections and returns Err once the
-            // accept thread drops the sole sender: shutdown.
-            while let Ok(stream) = rx.recv() {
-                queue_depth_gauge().add(-1);
-                serve_connection(&state, stream);
-            }
-        }));
-    }
-    threads
 }
 
 /// The event loop's bridge into the lab dispatch table.
 struct LabHandler {
     state: Arc<ServerState>,
-    promoted: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl EventHandler for LabHandler {
@@ -464,7 +383,7 @@ impl EventHandler for LabHandler {
         // handle is kept so shutdown joins it.
         let state = Arc::clone(&self.state);
         let handle = std::thread::spawn(move || serve_promoted(&state, conn));
-        self.promoted.lock().push(handle);
+        self.state.promoted.lock().push(handle);
     }
 }
 
@@ -484,30 +403,15 @@ fn serve_promoted(state: &ServerState, conn: PromotedConn) {
             return;
         }
     };
-    serve_transport(state, &mut transport, Some((KIND_INTERACTIVE, conn.setup)));
+    serve_transport(state, &mut transport, (KIND_INTERACTIVE, conn.setup));
 }
 
-/// Serve one connection until it closes, exhausts its read-timeout
-/// strikes, or errors. Never panics out to the worker loop.
-fn serve_connection(state: &ServerState, stream: TcpStream) {
-    let mut transport = match TcpTransport::from_stream(stream, state.config.transport_config()) {
-        Ok(t) => t,
-        Err(_) => {
-            state.counters.inc_dropped();
-            return;
-        }
-    };
-    serve_transport(state, &mut transport, None);
-}
-
-/// The blocking per-connection serve loop, optionally starting from a
-/// frame that was already read on the caller's behalf.
-fn serve_transport(
-    state: &ServerState,
-    transport: &mut TcpTransport,
-    first: Option<(u8, Vec<u8>)>,
-) {
-    let mut pending = first;
+/// The blocking per-connection serve loop of a promoted connection,
+/// starting from the frame the event loop already read on its behalf.
+/// Serves until the connection closes, exhausts its read-timeout
+/// strikes, or errors; never panics out to its thread.
+fn serve_transport(state: &ServerState, transport: &mut TcpTransport, first: (u8, Vec<u8>)) {
+    let mut pending = Some(first);
     let mut strikes = 0u32;
     loop {
         let frame = match pending.take() {
@@ -560,8 +464,8 @@ fn serve_transport(
             Err(NetError::Disconnected) => return, // clean close
             Err(NetError::Timeout) => {
                 // A slow client earns a strike per silent read window;
-                // it is evicted — freeing the worker — only once the
-                // configured strikes are exhausted.
+                // it is evicted only once the configured strikes are
+                // exhausted.
                 strikes += 1;
                 if strikes >= state.config.eviction_strikes.max(1) {
                     state.counters.inc_evicted();
@@ -570,8 +474,7 @@ fn serve_transport(
                 }
             }
             Err(_) => {
-                // Garbage or I/O failure: drop, freeing the worker for
-                // the next connection.
+                // Garbage or I/O failure: drop the connection.
                 state.counters.inc_dropped();
                 return;
             }
@@ -586,8 +489,9 @@ pub(crate) fn request_bytes() -> &'static ccmx_obs::Histogram {
 }
 
 /// Decode and dispatch one request payload, with latency metering, the
-/// panic shield, and post-hoc deadline enforcement. Shared by both
-/// engines; `received` anchors the deadline clock at frame arrival.
+/// panic shield, and post-hoc deadline enforcement. Shared by the event
+/// loop's compute pool and the blocking loop of promoted connections;
+/// `received` anchors the deadline clock at frame arrival.
 fn answer_request(state: &ServerState, payload: &[u8], received: std::time::Instant) -> Response {
     let deadline = state.config.request_deadline.map(|d| received + d);
     let mut response = {
@@ -1331,31 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_still_serves() {
-        let server = serve(
-            "127.0.0.1:0",
-            ServerConfig {
-                engine: ServerEngine::Threaded,
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind threaded test server");
-        let mut t = connect(&server);
-        assert_eq!(roundtrip(&mut t, &Request::Ping), Response::Pong);
-        let resp = roundtrip(
-            &mut t,
-            &Request::Bounds {
-                n: 5,
-                k: 3,
-                security: 20,
-            },
-        );
-        assert!(matches!(resp, Response::Bounds(_)));
-        server.shutdown();
-    }
-
-    #[test]
     fn evented_pipelining_preserves_response_order() {
         let server = small_server();
         let mut t = connect(&server);
@@ -1389,8 +1268,8 @@ mod tests {
     #[test]
     fn shutdown_drains_inflight_batch_group() {
         // Regression: a stop during batch fan-out used to close the
-        // listener and drop queued batch members silently. The evented
-        // engine's drain phase must finish the batch and flush the full
+        // listener and drop queued batch members silently. The event
+        // loop's drain phase must finish the batch and flush the full
         // response before the loop exits.
         let server = serve(
             "127.0.0.1:0",

@@ -3,14 +3,16 @@
 //! A [`Transport`] moves framed [`WireMsg`]s between two agents and
 //! meters *exactly* the protocol bits it carries. Two implementations:
 //!
-//! * [`MemTransport`] — frames travel over in-process crossbeam
-//!   channels; same codec work as TCP, zero syscalls. The baseline for
-//!   measuring what the network itself costs.
+//! * [`MemFrameLink`] — frames travel over in-process channels; same
+//!   codec work as TCP, zero syscalls. The baseline for measuring what
+//!   the network itself costs.
 //! * [`TcpTransport`] — frames travel over a `std::net::TcpStream` with
 //!   read/write timeouts and bounded retry-with-backoff on transient
 //!   I/O errors.
 //!
-//! Both plug into the `ccmx-comm` agent state machine through
+//! Both are also raw [`crate::fault::FrameLink`]s, the medium under the
+//! fault-injecting [`crate::fault::FaultTransport`], and both plug into
+//! the `ccmx-comm` agent state machine through
 //! [`AsChannel`], so a protocol run over either transport replays the
 //! identical `run_agent` logic as the in-process runners — which is why
 //! transcripts (and therefore costs) agree bit for bit.
@@ -20,7 +22,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use ccmx_comm::protocol::{ChannelError, MsgChannel, WireMsg};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::error::NetError;
 use crate::wire::{self, payload_bits, WireCodec, KIND_WIRE_MSG};
@@ -95,70 +97,90 @@ impl<T: Transport> MsgChannel for AsChannel<T> {
     }
 }
 
+/// Meter one outgoing protocol message.
+fn meter_sent(stats: &mut TransportStats, msg: &WireMsg) {
+    stats.msgs_sent += 1;
+    stats.bits_sent += payload_bits(msg);
+}
+
+/// Decode and meter one received frame, which must carry a protocol
+/// message.
+fn decode_received(
+    stats: &mut TransportStats,
+    (kind, payload): (u8, Vec<u8>),
+) -> Result<WireMsg, NetError> {
+    if kind != KIND_WIRE_MSG {
+        return Err(NetError::Protocol(format!(
+            "expected protocol frame, got kind {kind}"
+        )));
+    }
+    let msg = WireMsg::from_wire_bytes(&payload)?;
+    stats.msgs_received += 1;
+    stats.bits_received += payload_bits(&msg);
+    Ok(msg)
+}
+
 // ----------------------------------------------------------------------
-// In-memory transport
+// In-memory link
 // ----------------------------------------------------------------------
 
-/// In-process transport: encoded frames over crossbeam channels. Runs
-/// the full codec path (encode → frame → decode) without any socket.
-pub struct MemTransport {
+/// In-process link: encoded frames over channels. Runs the full codec
+/// path (encode → frame → decode) without any socket.
+pub struct MemFrameLink {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     recv_timeout: Option<Duration>,
     stats: TransportStats,
 }
 
-/// Two connected [`MemTransport`] endpoints.
-pub fn mem_transport_pair() -> (MemTransport, MemTransport) {
+/// Two connected [`MemFrameLink`] endpoints. `recv_timeout` bounds how
+/// long a receive waits for the peer before [`NetError::Timeout`]:
+/// [`crate::fault::fault_mem_pair`] passes its NACK clock, the plain
+/// runners pass `None` and wait until the peer sends or hangs up.
+pub fn mem_link_pair(recv_timeout: Option<Duration>) -> (MemFrameLink, MemFrameLink) {
     let (tx_ab, rx_ab) = crossbeam::channel::unbounded();
     let (tx_ba, rx_ba) = crossbeam::channel::unbounded();
-    let mk = |tx, rx| MemTransport {
+    let mk = |tx, rx| MemFrameLink {
         tx,
         rx,
-        recv_timeout: None,
+        recv_timeout,
         stats: TransportStats::default(),
     };
     (mk(tx_ab, rx_ba), mk(tx_ba, rx_ab))
 }
 
-impl MemTransport {
-    /// Bound how long `recv_wire` waits for the peer.
-    pub fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
-        self.recv_timeout = timeout;
-    }
-}
-
-impl Transport for MemTransport {
-    fn send_wire(&mut self, msg: &WireMsg) -> Result<(), NetError> {
-        let frame = wire::encode_frame(KIND_WIRE_MSG, &msg.to_wire_bytes())?;
-        self.stats.msgs_sent += 1;
-        self.stats.bits_sent += payload_bits(msg);
+impl MemFrameLink {
+    /// Send one frame of any kind.
+    pub fn send_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), NetError> {
+        let frame = wire::encode_frame(kind, payload)?;
         self.stats.raw_bytes_sent += frame.len();
         self.tx.send(frame).map_err(|_| NetError::Disconnected)
     }
 
-    fn recv_wire(&mut self) -> Result<WireMsg, NetError> {
+    /// Receive the next frame of any kind.
+    pub fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), NetError> {
         let frame = match self.recv_timeout {
             None => self.rx.recv().map_err(|_| NetError::Disconnected)?,
-            Some(t) => self.rx.recv_timeout(t).map_err(|e| {
-                use crossbeam::channel::RecvTimeoutError;
-                match e {
-                    RecvTimeoutError::Timeout => NetError::Timeout,
-                    RecvTimeoutError::Disconnected => NetError::Disconnected,
-                }
+            Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
+                RecvTimeoutError::Timeout => NetError::Timeout,
+                RecvTimeoutError::Disconnected => NetError::Disconnected,
             })?,
         };
-        let (kind, payload) = wire::read_frame(&mut frame.as_slice())?;
-        if kind != KIND_WIRE_MSG {
-            return Err(NetError::Protocol(format!(
-                "expected protocol frame, got kind {kind}"
-            )));
-        }
-        let msg = WireMsg::from_wire_bytes(&payload)?;
-        self.stats.msgs_received += 1;
-        self.stats.bits_received += payload_bits(&msg);
         self.stats.raw_bytes_received += frame.len();
-        Ok(msg)
+        wire::read_frame(&mut frame.as_slice())
+    }
+}
+
+impl Transport for MemFrameLink {
+    fn send_wire(&mut self, msg: &WireMsg) -> Result<(), NetError> {
+        self.send_frame(KIND_WIRE_MSG, &msg.to_wire_bytes())?;
+        meter_sent(&mut self.stats, msg);
+        Ok(())
+    }
+
+    fn recv_wire(&mut self) -> Result<WireMsg, NetError> {
+        let frame = self.recv_frame()?;
+        decode_received(&mut self.stats, frame)
     }
 
     fn stats(&self) -> TransportStats {
@@ -314,22 +336,13 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send_wire(&mut self, msg: &WireMsg) -> Result<(), NetError> {
         self.send_frame(KIND_WIRE_MSG, &msg.to_wire_bytes())?;
-        self.stats.msgs_sent += 1;
-        self.stats.bits_sent += payload_bits(msg);
+        meter_sent(&mut self.stats, msg);
         Ok(())
     }
 
     fn recv_wire(&mut self) -> Result<WireMsg, NetError> {
-        let (kind, payload) = self.recv_frame()?;
-        if kind != KIND_WIRE_MSG {
-            return Err(NetError::Protocol(format!(
-                "expected protocol frame, got kind {kind}"
-            )));
-        }
-        let msg = WireMsg::from_wire_bytes(&payload)?;
-        self.stats.msgs_received += 1;
-        self.stats.bits_received += payload_bits(&msg);
-        Ok(msg)
+        let frame = self.recv_frame()?;
+        decode_received(&mut self.stats, frame)
     }
 
     fn stats(&self) -> TransportStats {
@@ -344,8 +357,8 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
-    fn mem_transport_meters_exact_bits() {
-        let (mut a, mut b) = mem_transport_pair();
+    fn mem_link_meters_exact_bits() {
+        let (mut a, mut b) = mem_link_pair(None);
         a.send_wire(&WireMsg::Bits(BitString::from_u64(0b101, 3)))
             .unwrap();
         a.send_wire(&WireMsg::Final(true)).unwrap();
@@ -360,15 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn mem_transport_recv_timeout_fires() {
-        let (_a, mut b) = mem_transport_pair();
-        b.set_recv_timeout(Some(Duration::from_millis(20)));
+    fn mem_link_recv_timeout_fires() {
+        let (_a, mut b) = mem_link_pair(Some(Duration::from_millis(20)));
         assert!(matches!(b.recv_wire(), Err(NetError::Timeout)));
     }
 
     #[test]
-    fn mem_transport_disconnect_detected() {
-        let (a, mut b) = mem_transport_pair();
+    fn mem_link_disconnect_detected() {
+        let (a, mut b) = mem_link_pair(None);
         drop(a);
         assert!(matches!(b.recv_wire(), Err(NetError::Disconnected)));
     }

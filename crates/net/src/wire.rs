@@ -38,6 +38,12 @@ pub const MAX_PAYLOAD_BYTES: usize = 1 << 22;
 /// Frame header length in bytes: magic + kind + u32 payload length.
 pub const HEADER_BYTES: usize = 6;
 
+/// Deepest `Batch` nesting a request or response may carry: a batch
+/// whose members are batches. Decoding recurses once per level, so
+/// without a cap a frame far below [`MAX_PAYLOAD_BYTES`] (five bytes a
+/// level) could overflow the decoding thread's stack.
+pub const MAX_BATCH_DEPTH: u32 = 2;
+
 /// Frame kind: a single protocol message between two running agents.
 pub const KIND_WIRE_MSG: u8 = 1;
 /// Frame kind: a client request to the protocol-lab server.
@@ -61,12 +67,32 @@ pub const KIND_CHAOS: u8 = 5;
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// `Batch` levels currently open.
+    depth: u32,
 }
 
 impl<'a> Dec<'a> {
     /// Start decoding `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Decode the members of a `Batch` one level deeper, refusing more
+    /// than [`MAX_BATCH_DEPTH`] levels.
+    pub fn take_batch<T: WireCodec>(&mut self) -> Result<Vec<T>, NetError> {
+        if self.depth >= MAX_BATCH_DEPTH {
+            return Err(NetError::Frame(format!(
+                "batch nested deeper than {MAX_BATCH_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let members = Vec::<T>::take(self);
+        self.depth -= 1;
+        members
     }
 
     /// Bytes not yet consumed.

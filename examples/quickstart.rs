@@ -44,11 +44,11 @@ fn main() {
     );
     assert!(run.output);
 
-    // The threaded runner (two OS threads over channels) produces the
-    // identical transcript.
-    let threaded = run_threaded(&send_all, &pi0, &input, 0);
-    assert_eq!(run, threaded);
-    println!("[send-all]     threaded runner reproduces the transcript bit-for-bit");
+    // Two agent threads exchanging encoded, framed messages over an
+    // in-memory link produce the identical transcript.
+    let framed = run_mem_transport(&send_all, &pi0, &input, 0);
+    assert_eq!(run, framed);
+    println!("[send-all]     framed two-thread run reproduces the transcript bit-for-bit");
 
     // ------------------------------------------------------------------
     // 3. The randomized counterpoint (Leighton's bound).

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-1 (release build + tests), formatting,
-# a warning-free clippy pass over every target in the workspace, and a
-# release build of the serving benchmark (`perfbench/`, its own
-# workspace), so a change that breaks an item the benchmark uses fails
-# here rather than in the benchmark run.
+# Full verification gate: tier-1 (release build + tests, run over the
+# whole workspace), formatting, a warning-free clippy pass over every
+# target in the workspace, and a release build of the serving benchmark
+# (`perfbench/`, its own workspace), so a change that breaks an item the
+# benchmark uses fails here rather than in the benchmark run.
 #
 # Usage: scripts/verify.sh [--quick] [--bench-smoke]
 #   --quick        skip the release builds (debug tests + lints only)
@@ -64,8 +64,8 @@ if [[ "$QUICK" -eq 0 ]]; then
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
+echo "==> cargo test --workspace -q (tier-1 plus every crate's tests)"
+cargo test --workspace -q
 
 if [[ "$BENCH_SMOKE" -eq 1 ]]; then
     echo "==> perfbench tests (every workload briefly, answers checked)"

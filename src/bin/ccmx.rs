@@ -144,10 +144,10 @@ fn main() {
                     "protocol: mod-random-prime (error ≤ {:.2e})",
                     p.error_bound()
                 );
-                run_threaded(&p, &pi0, &input, 1)
+                run_mem_transport(&p, &pi0, &input, 1)
             } else {
                 println!("protocol: deterministic send-all");
-                run_threaded(&SendAll::new(f), &pi0, &input, 1)
+                run_mem_transport(&SendAll::new(f), &pi0, &input, 1)
             };
             println!(
                 "output    = {} (exact: {})",

@@ -77,8 +77,9 @@ pub mod prelude {
         BooleanFunction, Equality, ProductCheck, Singularity, Solvability,
     };
     pub use ccmx_comm::protocols::{FingerprintEquality, ModPrimeSingularity, SendAll};
-    pub use ccmx_comm::{run_sequential, run_threaded, BitString, MatrixEncoding, Partition};
+    pub use ccmx_comm::{run_sequential, BitString, MatrixEncoding, Partition};
     pub use ccmx_core::{Params, RestrictedInstance};
     pub use ccmx_linalg::{Matrix, Ring};
+    pub use ccmx_net::run_mem_transport;
     pub use ccmx_vlsi::{Chip, SystolicMatMul, VlsiBounds};
 }

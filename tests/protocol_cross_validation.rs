@@ -1,13 +1,65 @@
-//! Cross-validation of the protocol layer: the threaded (crossbeam
-//! channel) runner and the sequential runner must be observationally
+//! Cross-validation of the protocol layer: the in-memory framed runner
+//! (`run_mem_transport`: two agent threads exchanging encoded, framed
+//! messages) and the sequential runner must be observationally
 //! identical; randomized protocols must respect their error analyses;
 //! and broken protocols must be rejected by the runner's backstops.
 
 use ccmx::comm::meter::{meter_exhaustive, meter_random};
-use ccmx::comm::protocol::{AgentCtx, Step, Transcript, Turn, TwoPartyProtocol};
+use ccmx::comm::partition::Owner;
+use ccmx::comm::protocol::{AgentCtx, RunResult, Step, Transcript, Turn, TwoPartyProtocol};
+use ccmx::comm::protocols::fingerprint::fixed_partition;
+use ccmx::comm::protocols::{BisectEquality, ModPrimeSolvability};
+use ccmx::comm::randomized::AmplifiedModPrime;
 use ccmx::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Run `proto` both ways and require bit-identical results (the framed
+/// runner also checks that both agents agree and that the wire metered
+/// exactly the transcript's bits). Returns the sequential result.
+fn assert_runners_agree(
+    proto: &dyn TwoPartyProtocol,
+    p: &Partition,
+    input: &BitString,
+    seed: u64,
+) -> RunResult {
+    let expected = run_sequential(proto, p, input, seed);
+    assert_eq!(
+        run_mem_transport(proto, p, input, seed),
+        expected,
+        "{} diverged over the framed link",
+        proto.name()
+    );
+    expected
+}
+
+/// A toy protocol: A sends its share verbatim, B outputs the XOR of the
+/// whole input.
+struct XorProtocol;
+
+impl TwoPartyProtocol for XorProtocol {
+    fn step(&self, ctx: &AgentCtx<'_>, _rng: &mut StdRng) -> Step {
+        match ctx.turn {
+            Turn::A => Step::Send(ctx.share.to_bitstring()),
+            Turn::B => {
+                let received = ctx.transcript.bits_from(Turn::A);
+                let ones =
+                    received.count_ones() + ctx.share.values().iter().filter(|&&b| b).count();
+                Step::Output(ones % 2 == 1)
+            }
+        }
+    }
+    fn name(&self) -> &'static str {
+        "xor-toy"
+    }
+}
+
+/// `x` followed by `y`, each `half` bits: an equality input.
+fn halves(x: u64, y: u64, half: usize) -> BitString {
+    let mut input = BitString::from_u64(x, half);
+    input.extend(&BitString::from_u64(y, half));
+    input
+}
 
 #[test]
 fn runners_agree_on_every_protocol_function_pair() {
@@ -21,10 +73,7 @@ fn runners_agree_on_every_protocol_function_pair() {
             let p = Partition::random_even(enc.total_bits(), &mut rng);
             let bits: Vec<bool> = (0..enc.total_bits()).map(|_| rng.gen()).collect();
             let input = BitString::from_bits(bits);
-            assert_eq!(
-                run_sequential(&proto, &p, &input, trial),
-                run_threaded(&proto, &p, &input, trial)
-            );
+            assert_runners_agree(&proto, &p, &input, trial);
         }
     }
     // Singularity / mod-prime (randomized: same seed → same transcript).
@@ -35,24 +84,80 @@ fn runners_agree_on_every_protocol_function_pair() {
         for trial in 0..10u64 {
             let bits: Vec<bool> = (0..enc.total_bits()).map(|_| rng.gen()).collect();
             let input = BitString::from_bits(bits);
-            assert_eq!(
-                run_sequential(&proto, &p, &input, trial),
-                run_threaded(&proto, &p, &input, trial)
-            );
+            assert_runners_agree(&proto, &p, &input, trial);
         }
+        // A singular 2×2 instance.
+        let proto = ModPrimeSingularity::new(2, 2, 20);
+        let p = Partition::pi_zero(&proto.enc);
+        let m = ccmx::linalg::matrix::int_matrix(&[&[1, 2], &[3, 3]]);
+        assert_runners_agree(&proto, &p, &proto.enc.encode(&m), 4);
     }
     // Equality / fingerprint.
     {
         let proto = FingerprintEquality::new(32, 20);
-        let p = ccmx::comm::protocols::fingerprint::fixed_partition(32);
+        let p = fixed_partition(32);
         for trial in 0..10u64 {
             let bits: Vec<bool> = (0..64).map(|_| rng.gen()).collect();
             let input = BitString::from_bits(bits);
-            assert_eq!(
-                run_sequential(&proto, &p, &input, trial),
-                run_threaded(&proto, &p, &input, trial)
-            );
+            assert_runners_agree(&proto, &p, &input, trial);
         }
+        let proto = FingerprintEquality::new(16, 20);
+        let p = fixed_partition(16);
+        assert_runners_agree(&proto, &p, &halves(0xABCD, 0xABCD, 16), 2);
+    }
+    // Parity / a toy protocol on an alternating partition.
+    {
+        let p = Partition::new(
+            (0..10)
+                .map(|i| if i % 2 == 0 { Owner::A } else { Owner::B })
+                .collect(),
+        );
+        for v in [0u64, 1, 513, 1023, 700] {
+            assert_runners_agree(&XorProtocol, &p, &BitString::from_u64(v, 10), 42);
+        }
+    }
+    // Equality / send-all on a random even partition.
+    {
+        let proto = SendAll::new(Equality { half_bits: 6 });
+        let p = Partition::random_even(12, &mut StdRng::seed_from_u64(5));
+        for v in [0u64, 63 << 6 | 63, 0b000001_000001, 0b100000_000001] {
+            assert_runners_agree(&proto, &p, &BitString::from_u64(v, 12), 1);
+        }
+    }
+    // Equality / bisect, whose unequal inputs take a full bisection.
+    {
+        let proto = BisectEquality::new(16, 25);
+        let p = fixed_partition(16);
+        for (x, y) in [(0xFFFFu64, 0xFFFFu64), (0xFFFF, 0xFFFE), (0, 0x8000)] {
+            let run = assert_runners_agree(&proto, &p, &halves(x, y, 16), 9);
+            if x != y {
+                assert!(
+                    run.transcript.rounds() >= 2 * proto.rounds() - 1,
+                    "expected a many-round run, got {} rounds",
+                    run.transcript.rounds()
+                );
+            }
+        }
+    }
+    // Solvability / mod-prime: b is a column of A, so A·x = b is solvable.
+    {
+        let f = Solvability::new(2, 2);
+        let proto = ModPrimeSolvability::new(2, 2, 20);
+        let p = Partition::random_even(f.num_bits(), &mut StdRng::seed_from_u64(3));
+        let mut sys = StdRng::seed_from_u64(5);
+        let a = Matrix::from_fn(2, 2, |_, _| Integer::from(sys.gen_range(0..4i64)));
+        let j = sys.gen_range(0..2);
+        let b: Vec<Integer> = (0..2).map(|i| a[(i, j)].clone()).collect();
+        assert_runners_agree(&proto, &p, &f.encode(&a, &b), 8);
+    }
+    // Singularity / amplified mod-prime (three AND-voted rounds).
+    {
+        let inner = ModPrimeSingularity::new(2, 2, 10);
+        let proto = AmplifiedModPrime::new(inner, 3);
+        let p = Partition::pi_zero(&inner.enc);
+        let mut bits = StdRng::seed_from_u64(7);
+        let input = BitString::from_bits((0..inner.enc.total_bits()).map(|_| bits.gen()).collect());
+        assert_runners_agree(&proto, &p, &input, 3);
     }
 }
 
@@ -169,15 +274,15 @@ fn round_limit_stops_divergent_protocols() {
 
 #[test]
 fn transcripts_are_reconstructible_by_both_agents() {
-    // The Transcript both agents assemble independently in the threaded
-    // runner is asserted equal inside run_threaded; here we additionally
-    // check the public accounting API.
+    // The Transcripts both agents assemble independently in the framed
+    // runner are asserted equal inside run_mem_transport; here we
+    // additionally check the public accounting API.
     let f = Singularity::new(2, 2);
     let enc = f.enc;
     let p = Partition::pi_zero(&enc);
     let proto = SendAll::new(f);
     let input = BitString::from_u64(0xAB, enc.total_bits());
-    let run = run_threaded(&proto, &p, &input, 0);
+    let run = run_mem_transport(&proto, &p, &input, 0);
     let t: &Transcript = &run.transcript;
     assert_eq!(t.rounds(), 1);
     assert_eq!(t.bits_from(Turn::A).len(), p.count_a());
@@ -189,7 +294,7 @@ fn transcripts_are_reconstructible_by_both_agents() {
 fn meter_random_respects_trial_counts() {
     let f = Equality { half_bits: 8 };
     let proto = SendAll::new(Equality { half_bits: 8 });
-    let p = ccmx::comm::protocols::fingerprint::fixed_partition(8);
+    let p = fixed_partition(8);
     let rep = meter_random(&proto, &p, &f, 33, 5);
     assert_eq!(rep.trials, 33);
     assert_eq!(rep.errors, 0);

@@ -1,6 +1,7 @@
 //! Every request is counted once in `ccmx_server_request_bytes`, by
-//! whichever loop read its frame: the event loop for the evented engine
-//! and the coordinator, the blocking loop for the threaded engine.
+//! whichever loop read its frame: the event loop for a server's plain
+//! connections and for the coordinator, the blocking loop for a
+//! connection promoted to an interactive run.
 //!
 //! This file holds a single test so no other test in its process moves
 //! the process-wide histogram while it counts.
@@ -8,7 +9,8 @@
 use std::sync::Arc;
 
 use ccmx::cluster::{serve_coordinator, ClusterConfig, Coordinator};
-use ccmx::net::{serve, Client, ServerConfig, ServerEngine, ServerHandle, TransportConfig};
+use ccmx::comm::BitString;
+use ccmx::net::{serve, Client, ProtoSpec, ServerConfig, TransportConfig};
 
 const N: u64 = 25;
 
@@ -23,11 +25,8 @@ fn requests_recorded() -> u64 {
         .count
 }
 
-/// Send `N` requests (pings and bounds) and return how many the
-/// histogram gained.
-fn count_requests(server: ServerHandle) -> u64 {
-    let before = requests_recorded();
-    let mut client = Client::connect(server.addr(), TransportConfig::default()).expect("connect");
+/// Send `N` requests (pings and bounds) on `client`.
+fn send_requests(client: &mut Client) {
     for i in 0..N {
         if i % 2 == 0 {
             client.ping().expect("ping");
@@ -35,25 +34,32 @@ fn count_requests(server: ServerHandle) -> u64 {
             client.bounds(5, 3, 20).expect("bounds");
         }
     }
-    drop(client);
-    server.shutdown();
-    requests_recorded() - before
 }
 
 #[test]
 fn each_request_is_sized_once() {
-    let evented = serve("127.0.0.1:0", ServerConfig::default()).expect("bind evented");
-    assert_eq!(count_requests(evented), N, "evented engine");
+    // Plain connection: the event loop reads every request frame.
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let before = requests_recorded();
+    let mut client = Client::connect(server.addr(), TransportConfig::default()).expect("connect");
+    send_requests(&mut client);
+    drop(client);
+    assert_eq!(requests_recorded() - before, N, "event loop");
 
-    let threaded = serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            engine: ServerEngine::Threaded,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind threaded");
-    assert_eq!(count_requests(threaded), N, "threaded engine");
+    // Promoted connection: after one interactive run the blocking loop
+    // owns the socket and reads the requests that follow on it. The
+    // interactive setup frame is not a request and is not sized.
+    let before = requests_recorded();
+    let mut client = Client::connect(server.addr(), TransportConfig::default()).expect("connect");
+    let spec = ProtoSpec::SendAllSingularity { dim: 2, k: 2 };
+    let (mine, theirs, _) = client
+        .run_interactive(spec, &BitString::from_u64(0b1011_0010, 8), 3)
+        .expect("interactive run");
+    assert_eq!(mine, theirs);
+    send_requests(&mut client);
+    drop(client);
+    server.shutdown();
+    assert_eq!(requests_recorded() - before, N, "promoted connection");
 
     // The coordinator answers pings itself, so it needs no shards.
     let coordinator = Arc::new(Coordinator::over_tcp(ClusterConfig::default(), Vec::new()));
