@@ -1,10 +1,10 @@
 //! # ccmx-bench
 //!
 //! Shared workload generators and table rendering for the experiment
-//! harness. Every experiment (see DESIGN.md and EXPERIMENTS.md) pulls
-//! its inputs from here so the Criterion benches, the `experiments`
-//! table binary and the `bench_snapshot` JSON emitter measure exactly
-//! the same workloads.
+//! harness, and the [`registry`] of gated experiments. Every experiment
+//! (see DESIGN.md and EXPERIMENTS.md) pulls its inputs from here, so the
+//! `experiments` table binary (E1–E12) and the `bench_snapshot` runner
+//! of the registry (E14–E21) draw from the same generators.
 //!
 //! Paper mapping: the experiments instantiate the quantities that
 //! Chu & Schnitger's Theorem 1.1 and Corollaries 1.2/1.3 bound —
@@ -16,6 +16,8 @@
 //! `wire bits == Transcript::total_bits()` observable under load.
 
 #![deny(missing_docs)]
+
+pub mod registry;
 
 use ccmx_bigint::Integer;
 use ccmx_comm::functions::Singularity;
@@ -48,6 +50,23 @@ pub fn random_singular_matrix(dim: usize, k: u32, rng: &mut StdRng) -> Matrix<In
     let dst = (src + 1 + rng.gen_range(0..dim - 1)) % dim;
     for r in 0..dim {
         m[(r, dst)] = m[(r, src)].clone();
+    }
+    m
+}
+
+/// A random matrix of rank `dim − 1` with a generic kernel vector: one
+/// row is replaced by the sum of two others (entries grow by one bit).
+/// Needs `dim ≥ 3`.
+pub fn random_row_sum_matrix(dim: usize, k: u32, rng: &mut StdRng) -> Matrix<Integer> {
+    let mut m = random_matrix(dim, k, rng);
+    let dst = rng.gen_range(0..dim);
+    let a = (dst + 1 + rng.gen_range(0..dim - 1)) % dim;
+    let b = (0..dim)
+        .filter(|&r| r != dst && r != a)
+        .nth(rng.gen_range(0..dim - 2))
+        .expect("dim >= 3 leaves a third row");
+    for c in 0..dim {
+        m[(dst, c)] = &m[(a, c)] + &m[(b, c)];
     }
     m
 }

@@ -2,8 +2,8 @@
 //!
 //! [`Rational`] is an always-normalized fraction: the denominator is
 //! strictly positive and `gcd(|num|, den) = 1`. Used by the rational
-//! Gaussian elimination path in `ccmx-linalg` (the ablation baseline
-//! against fraction-free Bareiss elimination).
+//! Gaussian elimination path in `ccmx-linalg` (the oracle, and E14's
+//! baseline against fraction-free Bareiss elimination).
 
 use std::cmp::Ordering;
 use std::fmt;

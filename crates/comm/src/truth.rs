@@ -18,22 +18,14 @@ use crate::partition::{Owner, Partition};
 
 /// Points evaluated through an [`crate::functions::IncrementalOracle`]
 /// cursor (one Gray-code flip each) vs. points evaluated by a fresh
-/// full `eval` call, process-wide. The bench smoke gate reads these to
-/// prove enumeration actually stayed on the incremental path.
+/// full `eval` call, process-wide (`ccmx_enum_incremental_points_total`
+/// and `ccmx_enum_fresh_points_total`). E15's `incremental_ok` check
+/// reads them to prove enumeration stayed on the incremental path.
 fn incremental_counter() -> &'static ccmx_obs::Counter {
     ccmx_obs::counter!("ccmx_enum_incremental_points_total")
 }
 fn fresh_counter() -> &'static ccmx_obs::Counter {
     ccmx_obs::counter!("ccmx_enum_fresh_points_total")
-}
-
-/// `(incremental_points, fresh_points)` evaluated so far in this process.
-///
-/// Thin view over the shared [`ccmx_obs`] registry series
-/// `ccmx_enum_incremental_points_total` and
-/// `ccmx_enum_fresh_points_total`.
-pub fn enumeration_stats() -> (u64, u64) {
-    (incremental_counter().get(), fresh_counter().get())
 }
 
 /// Hard cap on either side's bit count: `2^20` rows/columns.
@@ -391,12 +383,12 @@ mod tests {
 
     #[test]
     fn enumeration_uses_incremental_path_for_singularity() {
-        let (inc_before, _) = enumeration_stats();
+        let inc_before = incremental_counter().get();
         let f = Singularity::new(2, 2);
         let enc = MatrixEncoding::new(2, 2);
         let p = Partition::pi_zero(&enc);
         let t = TruthMatrix::enumerate(&f, &p, 1);
-        let (inc_after, _) = enumeration_stats();
+        let inc_after = incremental_counter().get();
         // `>=`: counters are process-wide and other tests enumerate too.
         assert!(
             inc_after - inc_before >= (t.rows() * t.cols()) as u64,

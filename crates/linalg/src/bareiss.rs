@@ -7,9 +7,9 @@
 //! ground-truth singularity test of the reproduction: `det(M) = 0` decides
 //! the paper's central predicate.
 //!
-//! The ablation bench compares this against rational elimination
-//! (`gauss` over [`crate::ring::RationalField`]) and against CRT-modular
-//! determinants ([`crate::modular`]).
+//! Experiment E14 (`BENCH_e14.json`) times this against rational
+//! elimination (`gauss` over [`crate::ring::RationalField`]) and against
+//! CRT-modular determinants ([`crate::modular`]).
 
 use ccmx_bigint::Integer;
 

@@ -286,24 +286,15 @@ impl ResiduePlan {
 /// consecutive updates — the capacitance can't be absorbed then).
 const MAX_PENDING: usize = 8;
 
+/// Incremental update steps and fresh `O(n³)` refreshes, process-wide.
+/// Healthy Gray-coded enumeration keeps refreshes a small fraction of
+/// steps (a refresh happens per [`SingularityEngine::load`], after a
+/// pending-set overflow, or while the base matrix is singular).
 fn steps_counter() -> &'static ccmx_obs::Counter {
     ccmx_obs::counter!("ccmx_engine_incremental_steps_total")
 }
 fn refresh_counter() -> &'static ccmx_obs::Counter {
     ccmx_obs::counter!("ccmx_engine_fresh_refreshes_total")
-}
-
-/// `(incremental_update_steps, fresh_o_n3_refreshes)` so far in this
-/// process, in the style of [`crate::crt::fast_path_stats`]. Healthy
-/// Gray-coded enumeration keeps the second counter a small fraction of
-/// the first (a refresh happens per [`SingularityEngine::load`], after a
-/// pending-set overflow, or while the base matrix is singular).
-///
-/// Thin view over the shared [`ccmx_obs`] registry series
-/// `ccmx_engine_incremental_steps_total` and
-/// `ccmx_engine_fresh_refreshes_total`.
-pub fn incremental_stats() -> (u64, u64) {
-    (steps_counter().get(), refresh_counter().get())
 }
 
 /// Per-prime incremental state: the current residue matrix, and — when
@@ -843,20 +834,21 @@ mod tests {
             let verdict = engine.update(i, 1, &delta);
             assert_eq!(verdict, bareiss::is_singular(&m));
         }
-        let (steps, fresh) = incremental_stats();
-        assert!(steps > 0);
-        assert!(fresh > 0, "load implies at least one refresh");
+        assert!(steps_counter().get() > 0);
+        assert!(
+            refresh_counter().get() > 0,
+            "load implies at least one refresh"
+        );
     }
 
     #[test]
     fn stats_counters_advance() {
-        let (steps0, _) = incremental_stats();
+        let steps0 = steps_counter().get();
         let mut engine = SingularityEngine::new(2, &Natural::from(3u64));
         engine.load(&Matrix::from_fn(2, 2, |i, j| {
             Integer::from(((i + 2 * j) % 3) as i64)
         }));
         engine.update(0, 0, &Integer::from(1i64));
-        let (steps1, _) = incremental_stats();
-        assert!(steps1 > steps0);
+        assert!(steps_counter().get() > steps0);
     }
 }

@@ -32,11 +32,10 @@
 //! * [`lup`], [`qr`], [`svd`] — the decompositions of Corollary 1.2 (for
 //!   SVD, the *nonzero structure*, which is what the paper bounds),
 //! * [`solve`] — exact solvability of `A·x = b` over ℚ (Corollary 1.3),
-//! * [`freivalds`] — probabilistic verification of `A·B = C`,
 //! * [`pool`] — the persistent work-stealing worker pool (parked
 //!   threads, injector queue, atomic-cursor batches),
-//! * [`parallel`] — data-parallel kernels (`par_map`/`par_fold`/
-//!   `par_matmul`) scheduled on the pool,
+//! * [`parallel`] — data-parallel kernels (`par_map`/`par_fold`)
+//!   scheduled on the pool,
 //! * [`engine`] — the kernel-engine layer: one-pass multi-prime residue
 //!   reduction and the incremental (rank-one update) singularity engine
 //!   behind Gray-coded enumeration.
@@ -46,9 +45,7 @@
 
 pub mod bareiss;
 pub mod crt;
-pub mod dixon;
 pub mod engine;
-pub mod freivalds;
 pub mod gauss;
 pub mod inverse;
 pub mod iomodel;

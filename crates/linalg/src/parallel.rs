@@ -1,8 +1,8 @@
 //! Data-parallel kernels on the persistent worker pool.
 //!
-//! Following the workspace's hpc-parallel guidance: row-blocked matrix
-//! multiplication and a generic parallel map over index ranges, used by
-//! the truth-matrix enumerators in `ccmx-comm` and the CRT determinant in
+//! Following the workspace's hpc-parallel guidance: a generic parallel
+//! map (and fold) over index ranges, used by the truth-matrix
+//! enumerators in `ccmx-comm` and the CRT determinant in
 //! [`crate::modular`]. Work is handed out via an atomic cursor so threads
 //! self-balance on irregular per-row costs (bigint entry sizes vary).
 //!
@@ -14,9 +14,7 @@
 //! task run serially inline: nested parallelism (CRT inside an
 //! enumeration row) must not oversubscribe the machine.
 
-use crate::matrix::Matrix;
 use crate::pool;
-use crate::ring::Ring;
 
 /// Parse a `CCMX_THREADS`-style override: positive integer, capped to
 /// the pool's practical maximum. `None` on unset, empty or garbage.
@@ -133,36 +131,9 @@ where
     partials.into_iter().flatten().fold(init, merge)
 }
 
-/// Row-parallel matrix multiplication over any ring.
-pub fn par_matmul<R: Ring>(
-    ring: &R,
-    a: &Matrix<R::Elem>,
-    b: &Matrix<R::Elem>,
-    threads: usize,
-) -> Matrix<R::Elem> {
-    assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
-    let rows = par_map(a.rows(), threads, |i| {
-        let mut row = Vec::with_capacity(b.cols());
-        for j in 0..b.cols() {
-            let mut acc = ring.zero();
-            for k in 0..a.cols() {
-                acc = ring.add_mul(&acc, &a[(i, k)], &b[(k, j)]);
-            }
-            row.push(acc);
-        }
-        row
-    });
-    Matrix::from_vec(a.rows(), b.cols(), rows.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::int_matrix;
-    use crate::ring::{IntegerRing, PrimeField};
-    use ccmx_bigint::Integer;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn par_map_preserves_order() {
@@ -265,33 +236,5 @@ mod tests {
         assert_eq!(threads_override(Some("1")), Some(1));
         assert_eq!(threads_override(Some(" 6 ")), Some(6));
         assert_eq!(threads_override(Some("9999")), Some(64));
-    }
-
-    #[test]
-    fn par_matmul_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(55);
-        let zz = IntegerRing;
-        let a = Matrix::from_fn(7, 5, |_, _| Integer::from(rng.gen_range(-9i64..=9)));
-        let b = Matrix::from_fn(5, 6, |_, _| Integer::from(rng.gen_range(-9i64..=9)));
-        let serial = a.mul(&zz, &b);
-        for threads in [1, 2, 4] {
-            assert_eq!(par_matmul(&zz, &a, &b, threads), serial);
-        }
-    }
-
-    #[test]
-    fn par_matmul_gfp() {
-        let f = PrimeField::new(101);
-        let a = Matrix::from_fn(8, 8, |i, j| ((i * 13 + j * 29) % 101) as u64);
-        let b = Matrix::from_fn(8, 8, |i, j| ((i * 7 + j * 3) % 101) as u64);
-        assert_eq!(par_matmul(&f, &a, &b, 4), a.mul(&f, &b));
-    }
-
-    #[test]
-    fn identity_preserved_in_parallel() {
-        let zz = IntegerRing;
-        let m = int_matrix(&[&[1, 2, 3], &[4, 5, 6], &[7, 8, 9]]);
-        let i = Matrix::identity(&zz, 3);
-        assert_eq!(par_matmul(&zz, &m, &i, 3), m);
     }
 }

@@ -89,7 +89,7 @@ pub use fault::{
     fault_mem_pair, FaultConfig, FaultKind, FaultPlan, FaultStats, FaultTransport, FrameLink,
 };
 pub use retry::{IdempotentRun, RetryClient, RetryPolicy};
-pub use runner::{run_mem_metered, run_mem_transport, run_tcp_loopback, run_tcp_loopback_metered};
+pub use runner::{run_mem_metered, run_mem_transport, run_tcp_loopback_metered};
 pub use server::{serve, serve_with_handler, ServerConfig, ServerHandle, ServerStats};
 pub use transport::{
     mem_link_pair, AsChannel, MemFrameLink, TcpTransport, Transport, TransportConfig,

@@ -159,17 +159,6 @@ pub fn run_mem_transport(
     run_mem_metered(proto, partition, input, seed).0
 }
 
-/// [`run_tcp_loopback_metered`] with `run_sequential`'s signature,
-/// pluggable into `ccmx_comm::meter::meter_inputs_with`.
-pub fn run_tcp_loopback(
-    proto: &dyn TwoPartyProtocol,
-    partition: &Partition,
-    input: &BitString,
-    seed: u64,
-) -> RunResult {
-    run_tcp_loopback_metered(proto, partition, input, seed).0
-}
-
 /// Sanity helper used by tests and the server: each endpoint's sent
 /// bits must equal the transcript bits attributed to its agent.
 pub fn endpoint_bits_consistent(

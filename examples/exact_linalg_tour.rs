@@ -4,13 +4,14 @@
 //! solvability — rests on exact arithmetic. This example tours the
 //! substrate as a general-purpose library: fraction-free determinants,
 //! CRT reconstruction, Smith normal form, integer vs rational
-//! solvability, Dixon's p-adic solver, and Sturm-counted singular values.
+//! solvability, the certified multi-prime CRT solve, and Sturm-counted
+//! singular values.
 //!
 //! Run with: `cargo run --release --example exact_linalg_tour`
 
 use ccmx::bigint::{bounds, Natural};
 use ccmx::linalg::ring::IntegerRing;
-use ccmx::linalg::{bareiss, dixon, inverse, modular, smith, solve, svd, Matrix};
+use ccmx::linalg::{bareiss, crt, inverse, modular, smith, solve, svd, Matrix};
 use ccmx::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,20 +81,20 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. Dixon's p-adic solver vs elimination.
+    // 3. Certified multi-prime CRT solve vs elimination.
     // ------------------------------------------------------------------
-    println!("\n=== Dixon p-adic solve ===\n");
+    println!("\n=== Certified CRT solve ===\n");
     let n = 6;
     let a6 = Matrix::from_fn(n, n, |_, _| Integer::from(rng.gen_range(-999i64..=999)));
     let b6: Vec<Integer> = (0..n)
         .map(|_| Integer::from(rng.gen_range(-999i64..=999)))
         .collect();
     if !bareiss::det(&a6).is_zero() {
-        let x = dixon::solve_dixon(&a6, &b6, &mut rng).unwrap();
+        let x = crt::solve_q_int(&a6, &b6).unwrap();
         let e = solve::solve(&a6, &b6).unwrap();
         assert_eq!(x, e);
         println!(
-            "6x6 random system: Dixon and elimination agree; x₀ = {}",
+            "6x6 random system: CRT and elimination agree; x₀ = {}",
             x[0]
         );
     }

@@ -1,154 +1,18 @@
 #!/usr/bin/env bash
-# Regenerate the committed machine-readable benchmark snapshots.
+# Regenerate the committed BENCH_<id>.json documents at the repo root.
 #
-# Runs the E14 exact-kernel comparison (rational Gauss vs Bareiss vs
-# Montgomery-CRT) and the E15 kernel-engine comparison (fresh vs
-# incremental Gray-walk enumeration, per-prime vs batched residue
-# reduction) with wall-clock timing, plus the E16 observability-overhead
-# rows (lock-free counter vs raw atomic vs mutexed baseline, histogram,
-# span, render) and the E17 resilience-stack rows (retry-storm
-# throughput, breaker-open degradation latency, chaos-soak divergence)
-# and the E18 cluster rows (10k-connection concurrency wave, the
-# cache-partition scaling sweep over 2/4/8 shard processes, and the
-# chaos-soaked resharding run) and the E19 communication-avoiding rows
-# (blocked vs scalar Montgomery elimination over full CRT prime plans,
-# with the Hong–Kung words-moved meter read back and gated: the blocked
-# path must be taken, and the blocked CRT det at n=32 must beat the
-# scalar path by >= 1.3x) and the E20 CC(f) search rows (branch-and-
-# bound with the canonical-rectangle memo on/off, serial vs the root
-# worker pool, gated: memoized parallel search must beat the serial
-# un-memoized baseline by >= 1.5x at the largest benched dimension)
-# and the E21 persistent-store rows (one deterministic request storm
-# driven cold then warm against the same data directory across a server
-# lifetime boundary, gated: store_ok, recovered_records > 0, and warm
-# speedup >= 1.5x), writing BENCH_e14.json ... BENCH_e21.json at the
-# repo root. Commit all eight so the perf trajectory is tracked in-tree.
+# Every experiment, its checks and its floors are declared once, in
+# crates/bench/src/registry.rs; this script only builds the `ccmx`
+# binary (E18 spawns shard and coordinator processes from it) and hands
+# its arguments to `bench_snapshot`, which prints every check and exits
+# non-zero naming each one that failed.
 #
-# Usage: scripts/bench_snapshot.sh [--quick] [--e21]
-#   --quick   single rep per measurement (CI sanity; noisier numbers)
-#   --e21     regenerate only BENCH_e21.json (the store tier)
+# Usage: scripts/bench_snapshot.sh [--quick] [ID...]
+#   --quick   one repetition of smaller workloads; writes nothing
+#   ID...     run only these experiments (e14 ... e21); default all
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ARGS=()
-ONLY=""
-for a in "$@"; do
-    case "$a" in
-        --quick) ARGS+=(--quick) ;;
-        --e21) ONLY=e21 ;;
-        *) echo "unknown flag: $a" >&2; exit 2 ;;
-    esac
-done
-
-run_e21() {
-    local OUT21=BENCH_e21.json
-    echo "==> cargo run --release --bin bench_snapshot -- --e21 ${ARGS[*]:-}"
-    cargo run --release -p ccmx-bench --bin bench_snapshot -- --e21 ${ARGS[@]+"${ARGS[@]}"} > "$OUT21.tmp"
-    mv "$OUT21.tmp" "$OUT21"
-    echo "==> wrote $OUT21"
-    grep -E "warm_speedup|recovered_records|store_ok" "$OUT21"
-    if ! grep -q '"store_ok": true' "$OUT21"; then
-        echo "FAIL: warm restart recomputed, diverged, or dropped certified results" >&2
-        exit 1
-    fi
-    RECOVERED=$(grep -o '"recovered_records": [0-9]*' "$OUT21" | awk '{print $2}')
-    if [[ -z "$RECOVERED" || "$RECOVERED" -eq 0 ]]; then
-        echo "FAIL: recovery accepted zero records from the cold lifetime's log" >&2
-        exit 1
-    fi
-    SPEEDUP21=$(grep -o '"warm_speedup": [0-9.]*' "$OUT21" | awk '{print $2}')
-    if ! awk -v s="$SPEEDUP21" 'BEGIN { exit !(s >= 1.5) }'; then
-        echo "FAIL: warm-restart storm speedup $SPEEDUP21 below the 1.5x gate" >&2
-        exit 1
-    fi
-}
-
-if [[ "$ONLY" == "e21" ]]; then
-    run_e21
-    exit 0
-fi
-
-OUT=BENCH_e14.json
-echo "==> cargo run --release --bin bench_snapshot ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- ${ARGS[@]+"${ARGS[@]}"} > "$OUT.tmp"
-mv "$OUT.tmp" "$OUT"
-echo "==> wrote $OUT"
-grep speedup "$OUT"
-
-OUT15=BENCH_e15.json
-echo "==> cargo run --release --bin bench_snapshot -- --e15 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e15 ${ARGS[@]+"${ARGS[@]}"} > "$OUT15.tmp"
-mv "$OUT15.tmp" "$OUT15"
-echo "==> wrote $OUT15"
-grep -E "speedup|incremental_ok" "$OUT15"
-
-OUT16=BENCH_e16.json
-echo "==> cargo run --release --bin bench_snapshot -- --e16 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e16 ${ARGS[@]+"${ARGS[@]}"} > "$OUT16.tmp"
-mv "$OUT16.tmp" "$OUT16"
-echo "==> wrote $OUT16"
-grep -E "over" "$OUT16"
-
-OUT17=BENCH_e17.json
-echo "==> cargo run --release --bin bench_snapshot -- --e17 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e17 ${ARGS[@]+"${ARGS[@]}"} > "$OUT17.tmp"
-mv "$OUT17.tmp" "$OUT17"
-echo "==> wrote $OUT17"
-grep -E "runs_per_sec|divergence" "$OUT17"
-if ! grep -q '"zero_bit_divergence": true' "$OUT17"; then
-    echo "FAIL: chaos soak reported nonzero metered-bit divergence" >&2
-    exit 1
-fi
-
-OUT18=BENCH_e18.json
-echo "==> cargo build --release (the e18 phases spawn the ccmx binary)"
 cargo build --release
-echo "==> cargo run --release --bin bench_snapshot -- --e18 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e18 ${ARGS[@]+"${ARGS[@]}"} > "$OUT18.tmp"
-mv "$OUT18.tmp" "$OUT18"
-echo "==> wrote $OUT18"
-grep -E "concurrent_clients|runs_per_sec|scaling|divergence" "$OUT18"
-if ! grep -q '"zero_bit_divergence": true' "$OUT18"; then
-    echo "FAIL: cluster reshard soak reported nonzero metered-bit divergence" >&2
-    exit 1
-fi
-SCALING=$(grep -o '"scaling_2_to_4": [0-9.]*' "$OUT18" | awk '{print $2}')
-if ! awk -v s="$SCALING" 'BEGIN { exit !(s >= 1.6) }'; then
-    echo "FAIL: 2->4 shard scaling $SCALING below the 1.6x gate" >&2
-    exit 1
-fi
-
-OUT19=BENCH_e19.json
-echo "==> cargo run --release --bin bench_snapshot -- --e19 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e19 ${ARGS[@]+"${ARGS[@]}"} > "$OUT19.tmp"
-mv "$OUT19.tmp" "$OUT19"
-echo "==> wrote $OUT19"
-grep -E "speedup|blocked_ok" "$OUT19"
-if ! grep -q '"blocked_ok": true' "$OUT19"; then
-    echo "FAIL: blocked kernel dispatch fell back to scalar or the I/O meter stayed silent" >&2
-    exit 1
-fi
-SPEEDUP19=$(grep -o '"det_crt_blocked_speedup_n32": [0-9.]*' "$OUT19" | awk '{print $2}')
-if ! awk -v s="$SPEEDUP19" 'BEGIN { exit !(s >= 1.3) }'; then
-    echo "FAIL: blocked CRT det speedup $SPEEDUP19 at n=32 below the 1.3x gate" >&2
-    exit 1
-fi
-
-OUT20=BENCH_e20.json
-echo "==> cargo run --release --bin bench_snapshot -- --e20 ${ARGS[*]:-}"
-cargo run --release -p ccmx-bench --bin bench_snapshot -- --e20 ${ARGS[@]+"${ARGS[@]}"} > "$OUT20.tmp"
-mv "$OUT20.tmp" "$OUT20"
-echo "==> wrote $OUT20"
-grep -E "speedup|search_ok" "$OUT20"
-if ! grep -q '"search_ok": true' "$OUT20"; then
-    echo "FAIL: CC(f) search produced inexact or disagreeing answers, or the memo never hit" >&2
-    exit 1
-fi
-SPEEDUP20=$(grep -o '"parallel_memo_speedup_largest": [0-9.]*' "$OUT20" | awk '{print $2}')
-if ! awk -v s="$SPEEDUP20" 'BEGIN { exit !(s >= 1.5) }'; then
-    echo "FAIL: memoized parallel CC search speedup $SPEEDUP20 at the largest dim below the 1.5x gate" >&2
-    exit 1
-fi
-
-run_e21
+exec cargo run --release -p ccmx-bench --bin bench_snapshot -- "$@"

@@ -8,23 +8,16 @@
 # Usage: scripts/verify.sh [--quick] [--bench-smoke]
 #   --quick        skip the release builds (debug tests + lints only)
 #   --bench-smoke  additionally run the serving benchmark's own tests
-#                  (every workload briefly, every answer checked), and
-#                  run every criterion bench for exactly one
-#                  iteration (CCMX_BENCH_SMOKE=1): compile + run sanity
-#                  with no timing, so benches can't silently rot; check
-#                  the E19 blocked-kernel verdict (the communication-
-#                  avoiding dispatch must actually take the blocked path
-#                  and its Hong-Kung I/O meter must report words); check
-#                  the E20 search verdict (every benched CC(f) answer
-#                  exact and config-independent, the canonical-rectangle
-#                  memo actually hitting) and replay the committed
-#                  protocol-tree certificate through the independent
-#                  `ccmx cc --verify` checker; check the E21 store
-#                  verdict (populate a data directory cold, restart the
-#                  server on it, fail if recovery accepted zero records,
-#                  if any warm answer recomputed or diverged, or if the
-#                  warm storm ran below the 1.5x speedup floor); then
-#                  boot a real `ccmx serve`, warm it up over the wire,
+#                  (every workload briefly, every answer checked); fail
+#                  unless the `experiments` binary reprints the E1-E12
+#                  tables in bench_tables_snapshot.txt byte for byte;
+#                  run every registered experiment once in quick mode
+#                  (scripts/bench_snapshot.sh --quick: the registry in
+#                  crates/bench/src/registry.rs owns every verdict and
+#                  floor, and fails the run naming each failed check);
+#                  replay the committed protocol-tree certificate
+#                  through the independent `ccmx cc --verify` checker;
+#                  then boot a real `ccmx serve`, warm it up over the wire,
 #                  and fail unless its metrics scrape shows live request,
 #                  pool and CRT counters; then run a seeded chaos soak
 #                  (`ccmx chaos --server`), which exits non-zero on any
@@ -70,69 +63,12 @@ cargo test --workspace -q
 if [[ "$BENCH_SMOKE" -eq 1 ]]; then
     echo "==> perfbench tests (every workload briefly, answers checked)"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
-    echo "==> bench smoke (one iteration per bench, no timing)"
-    CCMX_BENCH_SMOKE=1 cargo bench -p ccmx-bench
-    echo "==> bench_snapshot --quick"
-    cargo run --release -p ccmx-bench --bin bench_snapshot -- --quick > /dev/null
-    echo "==> bench_snapshot --e15 --quick (incremental-path gate)"
-    E15_OUT=$(cargo run --release -p ccmx-bench --bin bench_snapshot -- --e15 --quick)
-    if ! grep -q '"incremental_ok": true' <<< "$E15_OUT"; then
-        echo "FAIL: enumeration fell back to fresh evaluation" >&2
-        grep -E "incremental_ok|cursor_points|update_steps|fresh_refreshes" <<< "$E15_OUT" >&2
-        exit 1
-    fi
-    grep '"incremental_ok"' <<< "$E15_OUT"
-
-    echo "==> bench_snapshot --e19 --quick (blocked-kernel dispatch gate)"
-    E19_OUT=$(cargo run --release -p ccmx-bench --bin bench_snapshot -- --e19 --quick)
-    if ! grep -q '"blocked_ok": true' <<< "$E19_OUT"; then
-        echo "FAIL: blocked kernel dispatch silently fell back to scalar," >&2
-        echo "      or the Hong-Kung I/O meter reported zero words under the E19 workload" >&2
-        grep -E "blocked_ok|words_per_call|iomodel" <<< "$E19_OUT" >&2
-        exit 1
-    fi
-    grep '"blocked_ok"' <<< "$E19_OUT"
-
-    echo "==> bench_snapshot --e20 --quick (CC search exactness + memo gate)"
-    E20_OUT=$(cargo run --release -p ccmx-bench --bin bench_snapshot -- --e20 --quick)
-    if ! grep -q '"search_ok": true' <<< "$E20_OUT"; then
-        echo "FAIL: CC(f) search answered inexactly, disagreed across configs," >&2
-        echo "      or the canonical-rectangle memo never hit under the E20 workload" >&2
-        grep -E "search_ok|workload|memo" <<< "$E20_OUT" >&2
-        exit 1
-    fi
-    grep '"search_ok"' <<< "$E20_OUT"
-    if ! grep -Eq '"ccmx_search_memo_hits_total [0-9]*[1-9][0-9]*"' <<< "$E20_OUT"; then
-        echo "FAIL: E20 metrics show zero ccmx_search_memo_hits_total" >&2
-        grep -E "ccmx_search_memo" <<< "$E20_OUT" >&2 || true
-        exit 1
-    fi
-    grep -E "ccmx_search_memo_hits_total" <<< "$E20_OUT"
-
-    echo "==> bench_snapshot --e21 --quick (warm-restart store gate)"
-    E21_OUT=$(cargo run --release -p ccmx-bench --bin bench_snapshot -- --e21 --quick)
-    if ! grep -q '"store_ok": true' <<< "$E21_OUT"; then
-        echo "FAIL: warm restart recomputed a certified result, diverged from the" >&2
-        echo "      cold answers, or dropped idempotent runs under the E21 workload" >&2
-        grep -E "store_ok|warm_|recovered" <<< "$E21_OUT" >&2
-        exit 1
-    fi
-    grep '"store_ok"' <<< "$E21_OUT"
-    if ! grep -Eq 'ccmx_store_recovered_records_total\{store=..server..\} [0-9]*[1-9][0-9]*' <<< "$E21_OUT"; then
-        echo "FAIL: E21 metrics show zero ccmx_store_recovered_records_total for the server store" >&2
-        grep -E "ccmx_store_recovered" <<< "$E21_OUT" >&2 || true
-        exit 1
-    fi
-    grep -E "ccmx_store_recovered_records_total" <<< "$E21_OUT"
-    SPEEDUP21=$(grep -o '"warm_speedup": [0-9.]*' <<< "$E21_OUT" | awk '{print $2}')
-    if ! awk -v s="$SPEEDUP21" 'BEGIN { exit !(s >= 1.5) }'; then
-        echo "FAIL: warm-restart storm speedup $SPEEDUP21 below the 1.5x floor" >&2
-        exit 1
-    fi
-    echo "warm_speedup: $SPEEDUP21"
+    echo "==> experiments E1-E12 (exact match against bench_tables_snapshot.txt)"
+    cargo run --release -p ccmx-bench --bin experiments | diff -u bench_tables_snapshot.txt -
+    echo "==> bench_snapshot --quick (every registered experiment, every check)"
+    scripts/bench_snapshot.sh --quick
 
     echo "==> certificate replay gate (committed protocol tree, independent checker)"
-    cargo build --release --bin ccmx
     ./target/release/ccmx cc --verify tests/data/equality8.cert
 
     echo "==> live server metrics gate"
